@@ -11,9 +11,10 @@ import (
 )
 
 // runComparePipelines drives bench.ComparePipelines, renders the
-// human-readable table, and optionally writes the JSON report
-// (BENCH_PIPELINE.json schema). Checksums are enforced bitwise between
-// the naive and tessellated runs inside the bench layer.
+// human-readable table (median of reseeded repeats after a warm-up),
+// and optionally writes the JSON report (BENCH_PIPELINE.json schema).
+// Checksums are enforced bitwise between the naive and tessellated
+// runs of every repeat inside the bench layer.
 func runComparePipelines(w io.Writer, scale, threads int, jsonPath string) error {
 	fmt.Fprintf(w, "multi-stage pipeline comparison: rk2/split/leapfrog over heat-2d, 1/%d scale, %d threads\n", scale, threads)
 	rep, err := bench.ComparePipelines(scale, threads)
@@ -21,10 +22,10 @@ func runComparePipelines(w io.Writer, scale, threads int, jsonPath string) error
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tstages\tscheme\tseconds\tMLUP/s\tvs naive")
+	fmt.Fprintln(tw, "workload\tstages\tscheme\tmedian s\tIQR s\tMLUP/s\tvs naive")
 	for _, r := range rep.Results {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.3f\t%.1f\t%.3fx\n",
-			r.Workload, r.Stages, r.Scheme, r.Seconds, r.MUpdates, r.SpeedupVsNaive)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%.4f\t%.4f\t%.1f\t%.3fx\n",
+			r.Workload, r.Stages, r.Scheme, r.Seconds, r.SecondsIQR, r.MUpdates, r.SpeedupVsNaive)
 	}
 	tw.Flush()
 	return writeJSONReport(w, jsonPath, "pipeline", rep)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"tessellate"
@@ -16,19 +17,26 @@ import (
 // masked fast path updates exactly the active set — so this is an
 // equality check, not a tolerance.
 
-// PipelineResult is one (pipeline workload, scheme) measurement.
+// PipelineResult is one (pipeline workload, scheme) measurement: the
+// median of Repeats reseeded timed runs after one untimed warm-up.
 type PipelineResult struct {
-	Workload string  `json:"workload"`
-	Stages   int     `json:"stages"`
-	Scheme   string  `json:"scheme"`
-	Seconds  float64 `json:"seconds"`
+	Workload string `json:"workload"`
+	Stages   int    `json:"stages"`
+	Scheme   string `json:"scheme"`
+	Repeats  int    `json:"repeats"`
+	// Seconds is the median run time, SecondsIQR the spread between
+	// its quartiles.
+	Seconds    float64 `json:"seconds"`
+	SecondsIQR float64 `json:"seconds_iqr"`
 	// MUpdates counts millions of logical (whole-pipeline) point
 	// updates per second.
 	MUpdates float64 `json:"mupdates"`
 	// SpeedupVsNaive is MUpdates relative to the naive run of the same
 	// workload (1.0 for naive itself).
 	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
-	Checksum       float64 `json:"checksum"`
+	// Checksum is the first timed repeat's; every repeat is checked
+	// bitwise against naive on the same seed.
+	Checksum float64 `json:"checksum"`
 }
 
 // PipelineReport is the full -pipeline output (the schema of
@@ -84,9 +92,17 @@ func pipelineCases(scale int) []pipelineCase {
 	}
 }
 
+// pipelineRepeats is the number of timed runs per (workload, scheme);
+// each is reseeded, and the report carries their median.
+const pipelineRepeats = 7
+
 // ComparePipelines measures the fused tessellated pipeline executor
-// against the barriered naive reference on each pipeline workload,
-// enforcing bitwise checksum agreement.
+// against the barriered naive reference on each pipeline workload.
+// Each workload reuses one grid, so first touch falls on the untimed
+// warm-up; then naive and tessellation alternate over pipelineRepeats
+// reseeded inputs, each pair checked for bitwise checksum agreement.
+// The scheme that runs first swaps every repeat, so an order effect
+// (a warm cache, a clock ramp) does not fall on one scheme only.
 func ComparePipelines(scale, threads int) (PipelineReport, error) {
 	rep := PipelineReport{
 		Threads:     threads,
@@ -95,41 +111,59 @@ func ComparePipelines(scale, threads int) (PipelineReport, error) {
 	}
 	eng := tessellate.NewEngine(threads)
 	defer eng.Close()
+	schemes := []tessellate.Scheme{tessellate.Naive, tessellate.Tessellation}
 	for _, c := range pipelineCases(scale) {
 		if err := c.p.Validate(); err != nil {
 			return rep, fmt.Errorf("bench: pipeline %s: %w", c.name, err)
 		}
 		slopes := c.p.Slopes()
-		var naiveMUpdates, naiveChecksum float64
-		for _, scheme := range []tessellate.Scheme{tessellate.Naive, tessellate.Tessellation} {
-			g := tessellate.NewGrid2D(c.n[0], c.n[1], slopes[0], slopes[1])
-			seedPipeline2D(g, c.name)
-			opt := tessellate.Options{Scheme: scheme, TimeTile: c.bt}
-			start := time.Now()
-			if err := eng.RunPipeline2D(g, c.p, c.steps, nil, opt); err != nil {
-				return rep, fmt.Errorf("bench: %s/%v: %w", c.name, scheme, err)
-			}
-			secs := time.Since(start).Seconds()
-			updates := float64(c.n[0]) * float64(c.n[1]) * float64(c.steps)
-			sum := checksum2D(g)
-			speedup := 1.0
-			if scheme == tessellate.Naive {
-				naiveMUpdates, naiveChecksum = updates/secs/1e6, sum
-			} else {
-				if sum != naiveChecksum {
-					return rep, fmt.Errorf("bench: %s tessellation checksum %v != naive %v",
-						c.name, sum, naiveChecksum)
+		g := tessellate.NewGrid2D(c.n[0], c.n[1], slopes[0], slopes[1])
+		secs := make([][]float64, len(schemes))
+		var checksum float64 // first timed repeat's; both schemes agree
+		// Repeat -1 is the warm-up: checked, not timed.
+		for r := -1; r < pipelineRepeats; r++ {
+			var sums [2]float64
+			for j := range schemes {
+				k := j ^ (r & 1) // naive first on even r, tessellation on odd
+				scheme := schemes[k]
+				seedPipeline2D(g, c.name, r)
+				opt := tessellate.Options{Scheme: scheme, TimeTile: c.bt}
+				start := time.Now()
+				if err := eng.RunPipeline2D(g, c.p, c.steps, nil, opt); err != nil {
+					return rep, fmt.Errorf("bench: %s/%v: %w", c.name, scheme, err)
 				}
-				speedup = updates / secs / 1e6 / naiveMUpdates
+				el := time.Since(start).Seconds()
+				sums[k] = checksum2D(g)
+				if r >= 0 {
+					secs[k] = append(secs[k], el)
+				}
+			}
+			if sums[1] != sums[0] {
+				return rep, fmt.Errorf("bench: %s repeat %d: %v checksum %v != naive %v",
+					c.name, r, schemes[1], sums[1], sums[0])
+			}
+			if r == 0 {
+				checksum = sums[0]
+			}
+		}
+		updates := float64(c.n[0]) * float64(c.n[1]) * float64(c.steps)
+		var naiveSecs float64
+		for k, scheme := range schemes {
+			sort.Float64s(secs[k])
+			med := quantile(secs[k], 0.5)
+			if k == 0 {
+				naiveSecs = med
 			}
 			rep.Results = append(rep.Results, PipelineResult{
 				Workload:       fmt.Sprintf("%s N=%v T=%d", c.name, c.n, c.steps),
 				Stages:         c.p.NumStages(),
 				Scheme:         scheme.String(),
-				Seconds:        secs,
-				MUpdates:       updates / secs / 1e6,
-				SpeedupVsNaive: speedup,
-				Checksum:       sum,
+				Repeats:        len(secs[k]),
+				Seconds:        med,
+				SecondsIQR:     quantile(secs[k], 0.75) - quantile(secs[k], 0.25),
+				MUpdates:       updates / med / 1e6,
+				SpeedupVsNaive: naiveSecs / med,
+				Checksum:       checksum,
 			})
 		}
 	}
@@ -244,9 +278,9 @@ func CompareMasks(scale, threads int) (MaskReport, error) {
 }
 
 // seedPipeline2D seeds a pipeline grid deterministically per workload
-// name, like seed2D does per kernel.
-func seedPipeline2D(g *tessellate.Grid2D, name string) {
-	rng := rand.New(rand.NewSource(int64(len(name))))
+// name and repeat, like seed2D does per kernel.
+func seedPipeline2D(g *tessellate.Grid2D, name string, repeat int) {
+	rng := rand.New(rand.NewSource(int64(len(name))<<8 + int64(repeat)))
 	g.Fill(func(x, y int) float64 { return rng.Float64() })
 	g.SetBoundary(1)
 }

@@ -101,7 +101,8 @@ func Spec(g *stencil.Generic) (*stencil.Spec, error) {
 	default:
 		return nil, fmt.Errorf("codegen: row kernels support 1-3 dimensions, got %d (use the ND executor)", g.Dims)
 	}
-	return s, nil
+	// Compiled kernels read src only at the Generic's fixed offsets.
+	return stencil.MarkRebasable(s), nil
 }
 
 func shapeOf(g *stencil.Generic) stencil.Shape {

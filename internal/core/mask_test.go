@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"tessellate/internal/grid"
@@ -65,6 +66,53 @@ func TestRunMasked2DMatchesNaive(t *testing.T) {
 				if r := verify.Grids2D(g, ref); !r.Equal {
 					t.Fatalf("%s/%s merge=%v: %v", s.Name, name, merge, r.Error("masked-2d"))
 				}
+			}
+		}
+	}
+}
+
+// TestRunMaskedConcurrentFinalize shares one mask that is not yet
+// finalized between two concurrent runs. Both entry points finalize
+// it; neither may read the summed-area table before it is complete (a
+// data race under -race, and wrong block classification without it).
+func TestRunMaskedConcurrentFinalize(t *testing.T) {
+	const nx, ny, steps = 45, 52, 6
+	s := stencil.Heat2D
+	for trial := 0; trial < 4; trial++ {
+		m := grid.NewMask([]int{nx, ny})
+		for x := 10; x < 30; x++ {
+			for y := 5 + trial; y < 40; y += 3 {
+				m.Set(false, x, y)
+			}
+		}
+		var wg sync.WaitGroup
+		grids := make([]*grid.Grid2D, 2)
+		errs := make([]error, 2)
+		for k := range grids {
+			g := grid.NewGrid2D(nx, ny, 1, 1)
+			fill2D(g, int64(30+trial))
+			grids[k] = g
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				pool := par.NewPool(2)
+				defer pool.Close()
+				cfg := Config{N: []int{nx, ny}, Slopes: s.Slopes, BT: 2, Big: []int{12, 12}, Merge: true}
+				errs[k] = RunMasked2D(grids[k], s, steps, &cfg, pool, m)
+			}(k)
+		}
+		wg.Wait()
+		ref := grid.NewGrid2D(nx, ny, 1, 1)
+		fill2D(ref, int64(30+trial))
+		if err := naive.RunMasked2D(ref, s, steps, nil, m); err != nil {
+			t.Fatal(err)
+		}
+		for k, g := range grids {
+			if errs[k] != nil {
+				t.Fatalf("trial %d run %d: %v", trial, k, errs[k])
+			}
+			if r := verify.Grids2D(g, ref); !r.Equal {
+				t.Fatalf("trial %d run %d: %v", trial, k, r.Error("concurrent-finalize"))
 			}
 		}
 	}

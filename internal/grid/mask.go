@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Mask marks a subset of a grid's interior points as active. Inactive
@@ -32,6 +33,7 @@ type Mask struct {
 	bits  []uint64 // rows * wpr words, bit z of row r = point active
 	sum   []int    // summed-area table, built by Finalize
 	count int      // total active points, built by Finalize
+	once  sync.Once
 	final bool
 }
 
@@ -113,14 +115,15 @@ func (m *Mask) Active(p ...int) bool {
 	return m.bits[m.row(p)*m.wpr+z/64]&(1<<uint(z%64)) != 0
 }
 
-// Finalize builds the summed-area table. Idempotent; must be called
-// (by the caller or the executor entry point) before CountBox. After
+// Finalize builds the summed-area table. Idempotent and safe to call
+// from concurrent runs sharing one mask (every executor entry point
+// calls it): the table is built exactly once, and every caller returns
+// only after it is complete. Must be called before CountBox. After
 // Finalize the mask is immutable.
-func (m *Mask) Finalize() {
-	if m.final {
-		return
-	}
-	m.final = true
+func (m *Mask) Finalize() { m.once.Do(m.build) }
+
+// build fills the summed-area table and only then marks the mask final.
+func (m *Mask) build() {
 	d := len(m.Dims)
 	dims := [3]int{1, 1, 1}
 	copy(dims[3-d:], m.Dims) // right-align: dims = [nx, ny, nz] with leading 1s
@@ -141,6 +144,7 @@ func (m *Mask) Finalize() {
 		}
 	}
 	m.count = m.sum[nx*sx+ny*sy+nz]
+	m.final = true
 }
 
 // ActiveCount returns the total number of active points (after

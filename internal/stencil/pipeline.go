@@ -206,9 +206,20 @@ func (p *Pipeline) String() string {
 // the naive oracle, so blend arithmetic is bitwise-identical across
 // schemes by construction. a or b may alias dst (the PrevState read):
 // each element is read before it is written and elements are
-// independent.
+// independent. Where AVX2 is available, rows of 4 or more points run
+// in assembly, 4 lanes wide and then one lane for the tail, with the
+// same two rounded products and one rounded sum per point (no FMA); the
+// explicit conversions keep the compiler from contracting the scalar
+// loop either.
 func BlendRow(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = ca*a[i] + cb*b[i]
+	if hi <= lo {
+		return
+	}
+	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
+	if blendVec(d, x, ca, y, cb) {
+		return
+	}
+	for j := range d {
+		d[j] = float64(ca*x[j]) + float64(cb*y[j])
 	}
 }

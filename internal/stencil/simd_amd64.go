@@ -26,6 +26,9 @@ func avx2Heat3DPair(dst, src *float64, n, sy, sx int)
 //go:noescape
 func avx2Heat3DRow(dst, src *float64, n, sy, sx int)
 
+//go:noescape
+func avx2Blend(dst, a, b *float64, ca, cb float64, n int)
+
 // SIMDAvailable reports whether the hand-tuned vector kernels are
 // usable on this machine: amd64, not purego, and AVX2 present.
 func SIMDAvailable() bool { return cpu.HasAVX2 }
@@ -138,4 +141,15 @@ func simdHeat3D(dst, src []float64, base, nx, ny, nz, sy, sx int) {
 			}
 		}
 	}
+}
+
+// blendVec runs BlendRow over a whole row in AVX2 when the row holds at
+// least one quad: 4-lane body, then the same expression one lane wide
+// for the n mod 4 tail. BlendRow passes a and b sliced to dst's length.
+func blendVec(dst, a []float64, ca float64, b []float64, cb float64) bool {
+	if len(dst) < 4 || !cpu.HasAVX2 {
+		return false
+	}
+	avx2Blend(&dst[0], &a[0], &b[0], ca, cb, len(dst))
+	return true
 }

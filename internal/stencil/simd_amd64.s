@@ -266,3 +266,68 @@ loop3dr:
 	JLT     loop3dr
 	VZEROUPPER
 	RET
+
+// func avx2Blend(dst, a, b *float64, ca, cb float64, n int)
+// dst[i] = ca*a[i] + cb*b[i] for i in [0, n), n >= 4: two products and
+// one sum, each rounded, in BlendRow's scalar order. Eight points per
+// iteration, then one quad if n mod 8 >= 4, then the n mod 4 tail one
+// lane at a time (VMULSD/VADDSD: the same rounded operations). Both
+// inputs of a point are loaded before its store, so dst may alias a or
+// b exactly (the PrevState blend).
+TEXT ·avx2Blend(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	VBROADCASTSD ca+24(FP), Y0
+	VBROADCASTSD cb+32(FP), Y1
+	MOVQ n+40(FP), CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX                    // points covered by the 8-wide loop
+	JZ   quadblend
+
+loopblend:
+	VMOVUPD (SI)(AX*8), Y2          // a[0:4]
+	VMOVUPD 32(SI)(AX*8), Y4        // a[4:8]
+	VMOVUPD (DX)(AX*8), Y3          // b[0:4]
+	VMOVUPD 32(DX)(AX*8), Y5        // b[4:8]
+	VMULPD  Y0, Y2, Y2              // ca*a
+	VMULPD  Y0, Y4, Y4
+	VMULPD  Y1, Y3, Y3              // cb*b
+	VMULPD  Y1, Y5, Y5
+	VADDPD  Y3, Y2, Y2              // ca*a + cb*b
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y4, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     loopblend
+
+quadblend:
+	MOVQ    CX, BX
+	SUBQ    AX, BX
+	CMPQ    BX, $4
+	JLT     tailblend
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD (DX)(AX*8), Y3
+	VMULPD  Y0, Y2, Y2
+	VMULPD  Y1, Y3, Y3
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $4, AX
+
+tailblend:
+	CMPQ    AX, CX
+	JGE     doneblend
+	VMOVSD  (SI)(AX*8), X2
+	VMOVSD  (DX)(AX*8), X3
+	VMULSD  X0, X2, X2
+	VMULSD  X1, X3, X3
+	VADDSD  X3, X2, X2
+	VMOVSD  X2, (DI)(AX*8)
+	INCQ    AX
+	JMP     tailblend
+
+doneblend:
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@ package stencil
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -192,6 +193,64 @@ func TestSIMDRegistration(t *testing.T) {
 	}
 }
 
+// blendScalar is BlendRow's plain scalar definition, the reference the
+// vector body must reproduce bit for bit.
+func blendScalar(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] = float64(ca*a[i]) + float64(cb*b[i])
+	}
+}
+
+// TestBlendRowMatchesScalar sweeps every lane remainder and odd start
+// offsets, including the aliased dst == a and dst == b calls that
+// PrevState blends make, and pins that no element outside [lo, hi) is
+// written.
+func TestBlendRowMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	coefs := [][2]float64{{0.5, 0.5}, {2, -1}, {1, -1}, {0.3, 0.7}, {-0, 1e-300}}
+	for n := 0; n <= 67; n++ {
+		for _, lo := range []int{0, 1, 3, 5, 7} {
+			for _, c := range coefs {
+				size := lo + n + 3
+				a, b, init := make([]float64, size), make([]float64, size), make([]float64, size)
+				fill(r, a)
+				fill(r, b)
+				fill(r, init)
+				want := append([]float64(nil), init...)
+				got := append([]float64(nil), init...)
+				blendScalar(want, a, c[0], b, c[1], lo, lo+n)
+				BlendRow(got, a, c[0], b, c[1], lo, lo+n)
+				bitEqual(t, "blend", want, got)
+
+				// dst == a (and dst == b): read before write per lane.
+				want = append([]float64(nil), init...)
+				got = append([]float64(nil), init...)
+				blendScalar(want, want, c[0], b, c[1], lo, lo+n)
+				BlendRow(got, got, c[0], b, c[1], lo, lo+n)
+				bitEqual(t, "blend dst==a", want, got)
+				want = append([]float64(nil), init...)
+				got = append([]float64(nil), init...)
+				blendScalar(want, a, c[0], want, c[1], lo, lo+n)
+				BlendRow(got, a, c[0], got, c[1], lo, lo+n)
+				bitEqual(t, "blend dst==b", want, got)
+			}
+		}
+	}
+}
+
+// TestBlendRowVectorGate pins where BlendRow's vector body runs: rows
+// of at least one quad when SIMD is available, never (the scalar loop
+// alone) in purego and non-amd64 builds.
+func TestBlendRowVectorGate(t *testing.T) {
+	buf := make([]float64, 16)
+	for n := 0; n <= len(buf); n++ {
+		want := SIMDAvailable() && n >= 4
+		if got := blendVec(buf[:n], buf, 1, buf, 1); got != want {
+			t.Fatalf("blendVec on %d points = %v, want %v (SIMD %v)", n, got, want, SIMDAvailable())
+		}
+	}
+}
+
 // FuzzSIMDHeat2D cross-checks the vector and block paths bitwise on
 // fuzzer-chosen box shapes and data seeds.
 func FuzzSIMDHeat2D(f *testing.F) {
@@ -242,4 +301,21 @@ func FuzzSIMDHeat3D(f *testing.F) {
 		Heat3D.S3(got, src, base, nx, ny, nz, sy, sx)
 		bitEqual(t, "fuzz heat-3d", want, got)
 	})
+}
+
+// BenchmarkBlendRow times BlendRow on row lengths typical of clipped
+// tile boxes (short) and of whole rows (long).
+func BenchmarkBlendRow(b *testing.B) {
+	for _, n := range []int{13, 48, 1024} {
+		a, c, d := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], c[i] = float64(i%7)/7, float64(i%5)/5
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(24 * n))
+			for i := 0; i < b.N; i++ {
+				BlendRow(d, a, 0.5, c, 0.5, 0, n)
+			}
+		})
+	}
 }

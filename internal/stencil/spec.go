@@ -100,6 +100,29 @@ type Spec struct {
 	S1 Kernel1DBlock // optional, Dims == 1
 	S2 Kernel2DBlock // optional, Dims == 2
 	S3 Kernel3DBlock // optional, Dims == 3
+
+	// rebasable points back at the spec itself when the spec was built
+	// by this module with kernels that may be rebased; see Rebasable.
+	// A copy of the struct points at the original, so it is not marked.
+	rebasable *Spec
+}
+
+// Rebasable reports whether every kernel of s reads src only at fixed
+// offsets from the index it updates and nothing else, so an executor
+// may call it with dst, src and base all shifted by one offset: the
+// fused pipeline executors do so to compute a stencil→blend pair in a
+// small strip. The kernel contract promises a kernel the point's grid
+// index, so only specs this module builds for position-free kernels
+// are marked: the Table 4 kernels and codegen-compiled Generics. User
+// specs, NewVarCoef2D/3D (whose kernels read κ at the grid index) and
+// copies of a marked spec are not.
+func Rebasable(s *Spec) bool { return s != nil && s.rebasable == s }
+
+// MarkRebasable marks s as rebasable (see Rebasable) and returns it.
+// Call it only on a spec whose kernels read no captured per-cell data.
+func MarkRebasable(s *Spec) *Spec {
+	s.rebasable = s
+	return s
 }
 
 // RowOnly returns a copy of the spec with the block and SIMD kernels
@@ -134,19 +157,19 @@ func (s *Spec) String() string {
 // carries both the shared row kernel and its hand-tuned block variant.
 var (
 	// Heat1D is the 1D 3-point heat equation stencil.
-	Heat1D = &Spec{Name: "heat-1d", Dims: 1, Shape: Star, Slopes: []int{1}, Points: 3, Flops: 5, K1: heat1DRow, B1: heat1DBlock}
+	Heat1D = MarkRebasable(&Spec{Name: "heat-1d", Dims: 1, Shape: Star, Slopes: []int{1}, Points: 3, Flops: 5, K1: heat1DRow, B1: heat1DBlock})
 	// P1D5 is the 1D 5-point (order-2) star stencil.
-	P1D5 = &Spec{Name: "1d5p", Dims: 1, Shape: Star, Slopes: []int{2}, Points: 5, Flops: 9, K1: p1d5Row, B1: p1d5Block}
+	P1D5 = MarkRebasable(&Spec{Name: "1d5p", Dims: 1, Shape: Star, Slopes: []int{2}, Points: 5, Flops: 9, K1: p1d5Row, B1: p1d5Block})
 	// Heat2D is the 2D 5-point heat equation stencil.
-	Heat2D = &Spec{Name: "heat-2d", Dims: 2, Shape: Star, Slopes: []int{1, 1}, Points: 5, Flops: 9, K2: heat2DRow, B2: heat2DBlock}
+	Heat2D = MarkRebasable(&Spec{Name: "heat-2d", Dims: 2, Shape: Star, Slopes: []int{1, 1}, Points: 5, Flops: 9, K2: heat2DRow, B2: heat2DBlock})
 	// Box2D9 is the 2D 9-point box stencil.
-	Box2D9 = &Spec{Name: "2d9p", Dims: 2, Shape: Box, Slopes: []int{1, 1}, Points: 9, Flops: 17, K2: box2D9Row, B2: box2D9Block}
+	Box2D9 = MarkRebasable(&Spec{Name: "2d9p", Dims: 2, Shape: Box, Slopes: []int{1, 1}, Points: 9, Flops: 17, K2: box2D9Row, B2: box2D9Block})
 	// Life is Conway's Game of Life (2D 9-point box dependence).
-	Life = &Spec{Name: "game-of-life", Dims: 2, Shape: Box, Slopes: []int{1, 1}, Points: 9, Flops: 9, K2: lifeRow, B2: lifeBlock}
+	Life = MarkRebasable(&Spec{Name: "game-of-life", Dims: 2, Shape: Box, Slopes: []int{1, 1}, Points: 9, Flops: 9, K2: lifeRow, B2: lifeBlock})
 	// Heat3D is the 3D 7-point heat equation stencil.
-	Heat3D = &Spec{Name: "heat-3d", Dims: 3, Shape: Star, Slopes: []int{1, 1, 1}, Points: 7, Flops: 13, K3: heat3DRow, B3: heat3DBlock}
+	Heat3D = MarkRebasable(&Spec{Name: "heat-3d", Dims: 3, Shape: Star, Slopes: []int{1, 1, 1}, Points: 7, Flops: 13, K3: heat3DRow, B3: heat3DBlock})
 	// Box3D27 is the 3D 27-point box stencil.
-	Box3D27 = &Spec{Name: "3d27p", Dims: 3, Shape: Box, Slopes: []int{1, 1, 1}, Points: 27, Flops: 53, K3: box3D27Row, B3: box3D27Block}
+	Box3D27 = MarkRebasable(&Spec{Name: "3d27p", Dims: 3, Shape: Box, Slopes: []int{1, 1, 1}, Points: 27, Flops: 53, K3: box3D27Row, B3: box3D27Block})
 )
 
 // All lists the benchmark stencils in the order of the paper's Table 4.
