@@ -51,7 +51,7 @@ func coarsenDiffOptions(dims int) Options {
 func TestCoarseningBitwiseIdenticalAllKernels(t *testing.T) {
 	eng := NewEngine(3)
 	defer eng.Close()
-	defer core.SetBlockKernels(true)
+	defer core.SetKernelPath(core.KernelPath())
 
 	specs := append([]*Stencil(nil), stencil.All...)
 	const nx1, nx2, ny2, nx3, ny3, nz3 = 89, 40, 36, 18, 15, 16
@@ -76,7 +76,7 @@ func TestCoarseningBitwiseIdenticalAllKernels(t *testing.T) {
 			if blockPath {
 				path = "block"
 			}
-			core.SetBlockKernels(blockPath)
+			core.SetKernelPath(path)
 			opt := coarsenDiffOptions(spec.Dims)
 			steps := 4*opt.TimeTile + 1
 

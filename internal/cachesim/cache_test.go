@@ -143,7 +143,7 @@ func TestTimeTilingReducesTraffic(t *testing.T) {
 
 	gt, ct := mk()
 	cfg := core.Config{N: []int{n}, Slopes: []int{1}, BT: steps, Big: []int{64 * steps}, Merge: true}
-	if err := core.Run1D(gt, NewTracingSpec(stencil.Heat1D, ct, gt.Buf[0], gt.Buf[1]), steps, &cfg, pool); err != nil {
+	if err := core.Run1D(gt, stencil.OneStage(NewTracingSpec(stencil.Heat1D, ct, gt.Buf[0], gt.Buf[1])), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ct.FlushWritebacks()
@@ -151,4 +151,15 @@ func TestTimeTilingReducesTraffic(t *testing.T) {
 	if ct.TrafficBytes()*2 >= cn.TrafficBytes() {
 		t.Fatalf("tessellation traffic %d not < half of naive %d", ct.TrafficBytes(), cn.TrafficBytes())
 	}
+}
+
+// mustSchedule builds the core schedule for (cfg, steps), failing the
+// test on error.
+func mustSchedule(t testing.TB, cfg *core.Config, steps int) *core.Schedule {
+	t.Helper()
+	sched, err := core.NewSchedule(cfg, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }

@@ -116,7 +116,7 @@ func TestCompiledSpecUnderTessellation(t *testing.T) {
 
 	// Tessellation with slope-2 tiles vs naive, bitwise.
 	cfg := core.Config{N: []int{40, 44}, Slopes: spec.Slopes, BT: 2, Big: []int{12, 16}, Merge: true}
-	if err := core.Run2D(gr, spec, 7, &cfg, pool); err != nil {
+	if err := core.Run2D(gr, stencil.OneStage(spec), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	naive.Run2D(ref, spec, 7, nil)
@@ -128,7 +128,7 @@ func TestCompiledSpecUnderTessellation(t *testing.T) {
 // The compiled block kernels must match the row closures bitwise: run
 // the same tessellation schedule with block dispatch on and off.
 func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
-	defer core.SetBlockKernels(true)
+	defer core.SetKernelPath(core.KernelPath())
 	for _, g := range []*stencil.Generic{stencil.NewStar(2, 2), stencil.NewBox(2, 1), stencil.NewStar(3, 1), stencil.NewBox(3, 1)} {
 		spec, err := Spec(g)
 		if err != nil {
@@ -146,12 +146,12 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			a.Fill(func(x, y int) float64 { return rng.Float64() })
 			b := a.Clone()
 			cfg := core.Config{N: []int{36, 40}, Slopes: spec.Slopes, BT: sl, Big: []int{12 * sl, 12 * sl}, Merge: true}
-			core.SetBlockKernels(true)
-			if err := core.Run2D(a, spec, 5, &cfg, pool); err != nil {
+			core.SetKernelPath("block")
+			if err := core.Run2D(a, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			core.SetBlockKernels(false)
-			if err := core.Run2D(b, spec, 5, &cfg, pool); err != nil {
+			core.SetKernelPath("row")
+			if err := core.Run2D(b, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids2D(a, b); !r.Equal {
@@ -162,12 +162,12 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			a.Fill(func(x, y, z int) float64 { return rng.Float64() })
 			b := a.Clone()
 			cfg := core.Config{N: []int{18, 20, 22}, Slopes: spec.Slopes, BT: 1, Big: []int{8, 8, 8}, Merge: true}
-			core.SetBlockKernels(true)
-			if err := core.Run3D(a, spec, 4, &cfg, pool); err != nil {
+			core.SetKernelPath("block")
+			if err := core.Run3D(a, stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			core.SetBlockKernels(false)
-			if err := core.Run3D(b, spec, 4, &cfg, pool); err != nil {
+			core.SetKernelPath("row")
+			if err := core.Run3D(b, stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids3D(a, b); !r.Equal {
@@ -269,4 +269,15 @@ func TestShapeDetection(t *testing.T) {
 	if shapeOf(stencil.NewBox(2, 1)) != stencil.Box {
 		t.Error("box detected as star")
 	}
+}
+
+// mustSchedule builds the core schedule for (cfg, steps), failing the
+// test on error.
+func mustSchedule(t testing.TB, cfg *core.Config, steps int) *core.Schedule {
+	t.Helper()
+	sched, err := core.NewSchedule(cfg, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }

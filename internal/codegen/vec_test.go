@@ -200,13 +200,13 @@ func TestCompiledVecUnderExecutorMatchesRow(t *testing.T) {
 	if err := core.SetKernelPath("simd"); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Run2D(a, spec, 5, &cfg, pool); err != nil {
+	if err := core.Run2D(a, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.SetKernelPath("row"); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Run2D(b, spec, 5, &cfg, pool); err != nil {
+	if err := core.Run2D(b, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r := verify.Grids2D(a, b); !r.Equal {

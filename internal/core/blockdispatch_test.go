@@ -14,7 +14,7 @@ import (
 // dispatch on and off — the block kernels are a pure fast path.
 
 func TestBlockDispatchBitwise1D(t *testing.T) {
-	defer SetBlockKernels(true)
+	defer SetKernelPath(KernelPath())
 	pool := par.NewPool(3)
 	defer pool.Close()
 	for _, s := range []*stencil.Spec{stencil.Heat1D, stencil.P1D5} {
@@ -23,12 +23,12 @@ func TestBlockDispatchBitwise1D(t *testing.T) {
 		a := grid.NewGrid1D(97, slope)
 		fill1D(a, 41)
 		b := a.Clone()
-		SetBlockKernels(true)
-		if err := Run1D(a, s, 13, &cfg, pool); err != nil {
+		SetKernelPath("block")
+		if err := Run1D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		SetBlockKernels(false)
-		if err := Run1D(b, s, 13, &cfg, pool); err != nil {
+		SetKernelPath("row")
+		if err := Run1D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids1D(a, b); !r.Equal {
@@ -38,7 +38,7 @@ func TestBlockDispatchBitwise1D(t *testing.T) {
 }
 
 func TestBlockDispatchBitwise2D(t *testing.T) {
-	defer SetBlockKernels(true)
+	defer SetKernelPath(KernelPath())
 	pool := par.NewPool(3)
 	defer pool.Close()
 	kappa := make([]float64, (37+2)*(41+2))
@@ -58,12 +58,12 @@ func TestBlockDispatchBitwise2D(t *testing.T) {
 			fill2D(a, 42)
 		}
 		b := a.Clone()
-		SetBlockKernels(true)
-		if err := Run2D(a, s, 11, &cfg, pool); err != nil {
+		SetKernelPath("block")
+		if err := Run2D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		SetBlockKernels(false)
-		if err := Run2D(b, s, 11, &cfg, pool); err != nil {
+		SetKernelPath("row")
+		if err := Run2D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids2D(a, b); !r.Equal {
@@ -73,7 +73,7 @@ func TestBlockDispatchBitwise2D(t *testing.T) {
 }
 
 func TestBlockDispatchBitwise3D(t *testing.T) {
-	defer SetBlockKernels(true)
+	defer SetKernelPath(KernelPath())
 	pool := par.NewPool(3)
 	defer pool.Close()
 	kappa := make([]float64, (18+2)*(15+2)*(20+2))
@@ -87,12 +87,12 @@ func TestBlockDispatchBitwise3D(t *testing.T) {
 		a := grid.NewGrid3D(18, 15, 20, 1, 1, 1)
 		fill3D(a, 43)
 		b := a.Clone()
-		SetBlockKernels(true)
-		if err := Run3D(a, s, 7, &cfg, pool); err != nil {
+		SetKernelPath("block")
+		if err := Run3D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		SetBlockKernels(false)
-		if err := Run3D(b, s, 7, &cfg, pool); err != nil {
+		SetKernelPath("row")
+		if err := Run3D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids3D(a, b); !r.Equal {
@@ -104,7 +104,7 @@ func TestBlockDispatchBitwise3D(t *testing.T) {
 // The periodic executor's interior fast path (flat offsets, no wrap)
 // must agree bitwise with the always-wrap loop.
 func TestBlockDispatchBitwisePeriodic(t *testing.T) {
-	defer SetBlockKernels(true)
+	defer SetKernelPath(KernelPath())
 	pool := par.NewPool(3)
 	defer pool.Close()
 	cases := []struct {
@@ -128,11 +128,11 @@ func TestBlockDispatchBitwisePeriodic(t *testing.T) {
 		p := make([]int, tc.gs.Dims)
 		forEachPoint(tc.cfg.N, p, func() { b.Set(p, a.At(p)) })
 
-		SetBlockKernels(true)
+		SetKernelPath("block")
 		if err := RunNDPeriodic(a, tc.gs, 9, &tc.cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		SetBlockKernels(false)
+		SetKernelPath("row")
 		if err := RunNDPeriodic(b, tc.gs, 9, &tc.cfg, pool); err != nil {
 			t.Fatal(err)
 		}

@@ -112,15 +112,15 @@ func (r *Region) Span(gi int) (b0, b1 int) {
 // whole time window. Interior blocks never clip, so the executor
 // computes the representative's bounds once per time step and replays
 // them per block as pure origin offsets; edge blocks fall back to
-// per-block clipping. lo/hi are caller scratch of length Dims (≤ 3:
-// only the specialised executors use this path).
+// per-block clipping. lo, hi, minRel and maxRel are caller scratch of
+// length Dims.
 //
 // The interior test exploits monotonicity: each bound is (piecewise)
 // affine in t, so its extreme values over the window occur at the
 // window ends — plus, for diamonds, at the waist where the slope flips
 // sign. Checking a block's maximal relative extent against [0, N) at
 // those candidates therefore covers every time step.
-func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi []int) (uniform bool, interior uint64) {
+func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi, minRel, maxRel []int) (uniform bool, interior uint64) {
 	blocks := r.Blocks
 	rep := &blocks[b0]
 	for bi := b0 + 1; bi < b1; bi++ {
@@ -140,7 +140,6 @@ func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi []int) (uniform bool, i
 		ts[2], nt = w, 3
 	}
 	d := len(lo)
-	var minRel, maxRel [3]int
 	for i := 0; i < nt; i++ {
 		c.Bounds(r, rep, ts[i], lo, hi)
 		for k := 0; k < d; k++ {

@@ -141,7 +141,7 @@ func TestCoarsenedRunBitwiseIdenticalAndExactPoints(t *testing.T) {
 			Coarsen: Coarsening{PerStage: per}}
 		pool := par.NewPool(3)
 		defer pool.Close()
-		if err := Run2D(g, stencil.Heat2D, steps, &cfg, pool); err != nil {
+		if err := Run2D(g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return g
@@ -227,7 +227,7 @@ func replayGrouped(t *testing.T, cfg *Config, steps int) {
 				t.Fatalf("region %d: span %d = [%d,%d) after %d", ri, gi, b0, b1, prev)
 			}
 			prev = b1
-			uniform, interior := cfg.groupPlan(&r, b0, b1, plo, phi)
+			uniform, interior := cfg.groupPlan(&r, b0, b1, plo, phi, relLo, relHi)
 			for tt := r.T0; tt < r.T1; tt++ {
 				empty := false
 				if uniform {

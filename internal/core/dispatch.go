@@ -61,20 +61,6 @@ func runPath() stencil.Path {
 	return p
 }
 
-// SetBlockKernels enables or disables dispatch to the fused block
-// kernels.
-//
-// Deprecated: superseded by SetKernelPath. true selects "block",
-// false selects "row"; neither re-enables "simd" — call
-// SetKernelPath("simd") for that.
-func SetBlockKernels(on bool) {
-	if on {
-		stencil.SetActivePath(stencil.PathBlock)
-	} else {
-		stencil.SetActivePath(stencil.PathRow)
-	}
-}
-
 // BlockKernelsEnabled reports whether executors dispatch whole clipped
 // boxes to fused kernels (block or simd) when a spec carries one.
 func BlockKernelsEnabled() bool { return ActivePath() >= stencil.PathBlock }

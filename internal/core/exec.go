@@ -10,11 +10,18 @@ import (
 	"tessellate/internal/stencil"
 )
 
-// ErrStopped is returned by the RunScheduled*Stop variants when the
-// cooperative stop flag is observed set at a region boundary. The grid
-// is left mid-run (Step is NOT advanced) and must be re-seeded before
-// reuse; a server releasing the buffer back to an arena does exactly
-// that.
+// Execution. Every tessellated run replays a precomputed Schedule
+// through one region walker (walk): the walker owns the region loop —
+// stop check, dispatch grouping, each visit's clipped box, mask
+// classification, telemetry and the Step advance — and hands each
+// non-empty block visit to an executor body. The bodies are the fused
+// pipeline (Run1D/2D/3D: a plain Spec run is the one-stage pipeline
+// stencil.OneStage) and the formula-driven generic stencil (RunND).
+
+// ErrStopped is returned by the executors when their cooperative stop
+// flag is observed set at a region boundary. The grid is left mid-run
+// (Step is NOT advanced) and must be re-seeded before reuse; a server
+// releasing the buffer back to an arena does exactly that.
 var ErrStopped = errors.New("core: run stopped at a region boundary")
 
 // stopped reports whether a cooperative stop has been requested.
@@ -25,390 +32,80 @@ func stopped(stop *atomic.Bool) bool {
 	return stop != nil && stop.Load()
 }
 
-// Run1D advances a 1D grid by steps time steps using the tessellation
-// schedule. The grid's halo must be at least the stencil slope.
-func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkConfig(cfg, []int{g.N}, s.Slopes); err != nil {
+// Run1D advances a 1D grid by sched.Steps() logical time steps of the
+// pipeline p, fusing all stages into each block visit of the schedule.
+// A single stencil runs as stencil.OneStage(s). The grid halo and the
+// schedule's slopes must match p's compound slope. A non-nil mask m
+// restricts every stage to its active points (nil means the full
+// domain); once a non-nil stop is set, the run aborts with ErrStopped
+// at the next region boundary.
+func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
+	if err := checkRun(p, sched, m, []int{g.N}, []int{g.H}); err != nil {
 		return err
 	}
-	return run1D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
-}
-
-// RunScheduled1D is Run1D replaying a precomputed Schedule: no region
-// list is rebuilt, so a steady-state caller re-running one shape does
-// no schedule work at all. Results are bitwise identical to Run1D with
-// the schedule's config and step count.
-func RunScheduled1D(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkSchedule(sched, []int{g.N}, s.Slopes); err != nil {
-		return err
-	}
-	return run1D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
-}
-
-// RunScheduled1DStop is RunScheduled1D with a cooperative stop flag
-// checked between schedule replay regions: when stop is set, the run
-// aborts with ErrStopped at the next region boundary (see ErrStopped
-// for the grid contract). A nil stop behaves like RunScheduled1D.
-func RunScheduled1DStop(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkSchedule(sched, []int{g.N}, s.Slopes); err != nil {
-		return err
-	}
-	return run1D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
-}
-
-func run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	h := g.H
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
-	useSIMD := p == stencil.PathSIMD && s.S1 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B1 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
+	b := newPipeBody(p, sched, m, g.Buf)
+	k := &box1D{kern: make([]stencil.Kernel1DBlock, len(p.Stages)), h: g.H}
+	for i, st := range p.Stages {
+		if st.Spec != nil {
+			k.kern[i], b.kpath[i] = st.Spec.Resolve1D(b.path)
 		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			var lo, hi [1]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, n0 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0 = hi[0] - lo[0]
-					if n0 <= 0 {
-						continue
-					}
-					rel0 = lo[0] - rep.Origin[0]
-				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, w0 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, w0 = b.Origin[0]+rel0, n0
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, w0 = lo[0], hi[0]-lo[0]
-					}
-					if sp != nil {
-						pts += int64(w0)
-					}
-					if useSIMD {
-						s.S1(dst, src, x0+h, x0+w0+h)
-						simds++
-					} else if useBlock {
-						s.B1(dst, src, x0+h, x0+w0+h)
-						blocks++
-					} else {
-						s.K1(dst, src, x0+h, x0+w0+h)
-						rows++
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
 	}
-	g.Step += steps
-	return nil
+	b.dim = k
+	// A 1D strip is a strip1D-point chunk of the row at index h, so its
+	// kernel reads stay at or above index 0.
+	return b.run(pool, len(g.Buf[0]), g.H+strip1D, &g.Step, stop)
 }
 
-// Run2D advances a 2D grid by steps time steps using the tessellation
-// schedule.
-func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY}, s.Slopes); err != nil {
+// Run2D is Run1D for 2D grids.
+func Run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
+	if err := checkRun(p, sched, m, []int{g.NX, g.NY}, []int{g.HX, g.HY}); err != nil {
 		return err
 	}
-	return run2D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
+	b := newPipeBody(p, sched, m, g.Buf)
+	k := &box2D{kern: make([]stencil.Kernel2DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0)}
+	for i, st := range p.Stages {
+		if st.Spec != nil {
+			k.kern[i], b.kpath[i] = st.Spec.Resolve2D(b.path)
+		}
+	}
+	b.dim = k
+	// A 2D strip is two rows in the grid's layout starting at index
+	// reach, so kernel reads (at most HX rows and HY cells back) stay
+	// at or above index 0.
+	return b.run(pool, len(g.Buf[0]), k.reach+g.SY+g.NY, &g.Step, stop)
 }
 
-// RunScheduled2D is Run2D replaying a precomputed Schedule (see
-// RunScheduled1D).
+// Run3D is Run1D for 3D grids.
+func Run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
+	if err := checkRun(p, sched, m, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}); err != nil {
+		return err
+	}
+	b := newPipeBody(p, sched, m, g.Buf)
+	k := &box3D{kern: make([]stencil.Kernel3DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0, 0)}
+	for i, st := range p.Stages {
+		if st.Spec != nil {
+			k.kern[i], b.kpath[i] = st.Spec.Resolve3D(b.path)
+		}
+	}
+	b.dim = k
+	// A 3D strip is two pencils of one plane in the grid's layout
+	// starting at index reach, so kernel reads (at most HX planes, HY
+	// pencils and HZ cells back) stay at or above index 0.
+	return b.run(pool, len(g.Buf[0]), k.reach+g.SY+g.NZ, &g.Step, stop)
+}
+
+// RunScheduled2D runs the stencil s over sched on the full domain:
+// Run2D with the one-stage pipeline, no mask and no stop flag.
 func RunScheduled2D(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY}, s.Slopes); err != nil {
-		return err
-	}
-	return run2D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	return Run2D(g, stencil.OneStage(s), sched, pool, nil, nil)
 }
 
-// RunScheduled2DStop is RunScheduled2D with a cooperative stop flag
-// (see RunScheduled1DStop).
-func RunScheduled2DStop(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY}, s.Slopes); err != nil {
-		return err
-	}
-	return run2D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
-}
-
-func run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
-	useSIMD := p == stencil.PathSIMD && s.S2 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B2 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			var lo, hi [2]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, rel1, n0, n1 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0, n1 = hi[0]-lo[0], hi[1]-lo[1]
-					if n0 <= 0 || n1 <= 0 {
-						continue
-					}
-					rel0, rel1 = lo[0]-rep.Origin[0], lo[1]-rep.Origin[1]
-				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, y0, w0, w1 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, y0 = b.Origin[0]+rel0, b.Origin[1]+rel1
-						w0, w1 = n0, n1
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, y0 = lo[0], lo[1]
-						w0, w1 = hi[0]-lo[0], hi[1]-lo[1]
-					}
-					if sp != nil {
-						pts += int64(w0) * int64(w1)
-					}
-					base := g.Idx(x0, y0)
-					if useSIMD {
-						s.S2(dst, src, base, w0, w1, g.SY)
-						simds++
-						continue
-					}
-					if useBlock {
-						s.B2(dst, src, base, w0, w1, g.SY)
-						blocks++
-						continue
-					}
-					for x := 0; x < w0; x++ {
-						s.K2(dst, src, base, w1, g.SY)
-						base += g.SY
-					}
-					rows += int64(w0)
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
-	g.Step += steps
-	return nil
-}
-
-// Run3D advances a 3D grid by steps time steps using the tessellation
-// schedule.
-func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
-}
-
-// RunScheduled3D is Run3D replaying a precomputed Schedule (see
-// RunScheduled1D).
-func RunScheduled3D(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
-}
-
-// RunScheduled3DStop is RunScheduled3D with a cooperative stop flag
-// (see RunScheduled1DStop).
-func RunScheduled3DStop(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
-}
-
-func run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
-	useSIMD := p == stencil.PathSIMD && s.S3 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B3 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			var lo, hi [3]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, rel1, rel2, n0, n1, n2 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0, n1, n2 = hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-					if n0 <= 0 || n1 <= 0 || n2 <= 0 {
-						continue
-					}
-					rel0, rel1, rel2 = lo[0]-rep.Origin[0], lo[1]-rep.Origin[1], lo[2]-rep.Origin[2]
-				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, y0, z0, w0, w1, w2 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, y0, z0 = b.Origin[0]+rel0, b.Origin[1]+rel1, b.Origin[2]+rel2
-						w0, w1, w2 = n0, n1, n2
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, y0, z0 = lo[0], lo[1], lo[2]
-						w0, w1, w2 = hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-					}
-					if sp != nil {
-						pts += int64(w0) * int64(w1) * int64(w2)
-					}
-					xBase := g.Idx(x0, y0, z0)
-					if useSIMD {
-						s.S3(dst, src, xBase, w0, w1, w2, g.SY, g.SX)
-						simds++
-						continue
-					}
-					if useBlock {
-						s.B3(dst, src, xBase, w0, w1, w2, g.SY, g.SX)
-						blocks++
-						continue
-					}
-					for x := 0; x < w0; x++ {
-						base := xBase
-						for y := 0; y < w1; y++ {
-							s.K3(dst, src, base, w2, g.SY, g.SX)
-							base += g.SY
-						}
-						xBase += g.SX
-					}
-					rows += int64(w0) * int64(w1)
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
-	g.Step += steps
-	return nil
-}
-
-// RunND advances an n-dimensional grid by steps time steps using the
-// tessellation schedule with the generic stencil gs. It is the
-// formula-driven executor covering any dimension (paper §3 in full
-// generality); slower than the specialised ones but exercises the
-// identical geometry.
-func RunND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, pool *par.Pool) error {
-	if gs.Dims != g.D() {
-		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
-	}
-	for k := 0; k < g.D(); k++ {
-		if g.Halo[k] < gs.Slopes[k] {
-			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
-		}
-	}
-	if err := checkConfig(cfg, g.Dims, gs.Slopes); err != nil {
-		return err
-	}
-	return runND(g, gs, steps, cfg, cfg.Regions(steps), pool, nil)
-}
-
-// RunScheduledND is RunND replaying a precomputed Schedule (see
-// RunScheduled1D).
-func RunScheduledND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool) error {
+// RunND advances an n-dimensional grid by sched.Steps() time steps of
+// the generic stencil gs. It is the formula-driven executor covering
+// any dimension (paper §3 in full generality): slower than the
+// specialised ones, but walking the identical geometry. stop behaves
+// as in Run1D.
+func RunND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
 	if gs.Dims != g.D() {
 		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
 	}
@@ -420,83 +117,86 @@ func RunScheduledND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *
 	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
 		return err
 	}
-	return runND(g, gs, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	b := &bodyND{g: g, gs: gs, flat: gs.FlatOffsets(g.Strides)}
+	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, stop, b)
 }
 
-// RunScheduledNDStop is RunScheduledND with a cooperative stop flag
-// (see RunScheduled1DStop).
-func RunScheduledNDStop(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if gs.Dims != g.D() {
-		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
-	}
-	for k := 0; k < g.D(); k++ {
-		if g.Halo[k] < gs.Slopes[k] {
-			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
+// bodyND runs one block visit of the generic stencil: the last
+// dimension has unit stride, so one ApplyRow per contiguous row
+// instead of one Apply (and one g.Idx) per point.
+type bodyND struct {
+	g    *grid.NDGrid
+	gs   *stencil.Generic
+	flat []int
+}
+
+func (b *bodyND) visit(l *lane, par, _ int) {
+	dst, src := b.g.Buf[par^1], b.g.Buf[par]
+	lo, hi, p := l.lo, l.hi, l.qlo
+	n := hi[len(hi)-1] - lo[len(lo)-1]
+	copy(p, lo)
+	for {
+		b.gs.ApplyRow(dst, src, b.g.Idx(p), n, b.flat)
+		l.calls.rows++
+		if !nextRow(p, lo, hi) {
+			return
 		}
 	}
-	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
+}
+
+// nextRow advances the odometer p over every dimension but the last
+// (unit-stride) one within the box [lo, hi), and reports false once
+// every row has been visited.
+func nextRow(p, lo, hi []int) bool {
+	for k := len(p) - 2; k >= 0; k-- {
+		if p[k]++; p[k] < hi[k] {
+			return true
+		}
+		p[k] = lo[k]
+	}
+	return false
+}
+
+// checkRun validates the arguments of a pipeline run against a grid of
+// interior extents n and halo widths halo.
+func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int) error {
+	if p == nil {
+		return fmt.Errorf("core: nil pipeline")
+	}
+	if err := p.Validate(); err != nil {
 		return err
 	}
-	return runND(g, gs, sched.steps, &sched.cfg, sched.regions, pool, stop)
+	if p.Dims() != len(n) {
+		return fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), len(n))
+	}
+	slopes := p.Slopes()
+	for k := range n {
+		if halo[k] < slopes[k] {
+			return fmt.Errorf("core: grid halo %v < compound slopes %v", halo, slopes)
+		}
+	}
+	if err := checkSchedule(sched, n, slopes); err != nil {
+		return err
+	}
+	return checkMask(m, n)
 }
 
-func runND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	flat := gs.FlatOffsets(g.Strides)
-	d := g.D()
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		// Grouped dispatch only (no bounds hoisting): the generic
-		// executor stays the straightforward oracle the fast paths are
-		// tested against.
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			lo := make([]int, d)
-			hi := make([]int, d)
-			p := make([]int, d)
-			var pts, rows int64
-			for bi := b0; bi < b1; bi++ {
-				b := &r.Blocks[bi]
-				for t := r.T0; t < r.T1; t++ {
-					if !cfg.ClippedBounds(&r, b, t, lo, hi) {
-						continue
-					}
-					if sp != nil {
-						pts += boxVolume(lo, hi)
-					}
-					dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-					// The last dimension has unit stride, so hoist it out
-					// of the odometer: one ApplyRow per contiguous row
-					// instead of one Apply (and one g.Idx) per point.
-					n := hi[d-1] - lo[d-1]
-					copy(p, lo)
-					for {
-						gs.ApplyRow(dst, src, g.Idx(p), n, flat)
-						rows++
-						k := d - 2
-						for ; k >= 0; k-- {
-							p[k]++
-							if p[k] < hi[k] {
-								break
-							}
-							p[k] = lo[k]
-						}
-						if k < 0 {
-							break
-						}
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, 0, 0)
-		})
-		sp.end(cfg, &r, ri)
+// checkMask validates that a non-nil m matches the grid extents n and
+// finalizes it (idempotent) so the parallel region bodies only ever
+// read it. A nil mask means the full domain.
+func checkMask(m *grid.Mask, n []int) error {
+	if m == nil {
+		return nil
 	}
-	g.Step += steps
+	if len(m.Dims) != len(n) {
+		return fmt.Errorf("core: mask rank %d != grid rank %d", len(m.Dims), len(n))
+	}
+	for k := range n {
+		if m.Dims[k] != n[k] {
+			return fmt.Errorf("core: mask extents %v != grid extents %v", m.Dims, n)
+		}
+	}
+	m.Finalize()
 	return nil
 }
 
@@ -507,26 +207,12 @@ func checkSchedule(sched *Schedule, n, slopes []int) error {
 	if sched == nil {
 		return fmt.Errorf("core: nil schedule")
 	}
-	if len(sched.cfg.N) != len(n) {
-		return fmt.Errorf("core: schedule rank %d != grid rank %d", len(sched.cfg.N), len(n))
-	}
-	for k := range n {
-		if sched.cfg.N[k] != n[k] {
-			return fmt.Errorf("core: schedule N %v != grid extents %v", sched.cfg.N, n)
-		}
-		if sched.cfg.Slopes[k] != slopes[k] {
-			return fmt.Errorf("core: schedule slopes %v != stencil slopes %v", sched.cfg.Slopes, slopes)
-		}
-	}
-	return nil
+	return checkShape(&sched.cfg, n, slopes)
 }
 
-// checkConfig verifies that cfg matches the grid shape and stencil
-// slopes and is internally consistent.
-func checkConfig(cfg *Config, n, slopes []int) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// checkShape verifies that cfg was built for the given grid extents
+// and stencil slopes.
+func checkShape(cfg *Config, n, slopes []int) error {
 	if len(cfg.N) != len(n) {
 		return fmt.Errorf("core: config rank %d != grid rank %d", len(cfg.N), len(n))
 	}

@@ -43,7 +43,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid1D(97, slope)
 				fill1D(g, 1)
 				ref := g.Clone()
-				if err := Run1D(g, s, steps, &cfg, pool); err != nil {
+				if err := Run1D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
 				naive.Run1D(ref, s, steps, nil)
@@ -74,7 +74,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 					fill2D(g, 2)
 				}
 				ref := g.Clone()
-				if err := Run2D(g, s, steps, &cfg, pool); err != nil {
+				if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
 				naive.Run2D(ref, s, steps, nil)
@@ -99,7 +99,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid3D(18, 15, 20, 1, 1, 1)
 				fill3D(g, 3)
 				ref := g.Clone()
-				if err := Run3D(g, s, steps, &cfg, pool); err != nil {
+				if err := Run3D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
 				naive.Run3D(ref, s, steps, nil)
@@ -144,7 +144,7 @@ func TestRunNDMatchesNaive(t *testing.T) {
 		g.Fill(func(c []int) float64 { return rng.Float64() })
 		ref := g.Clone()
 		steps := 3 * tc.bt
-		if err := RunND(g, gs, steps, &cfg, pool); err != nil {
+		if err := RunND(g, gs, mustSchedule(t, &cfg, steps), pool, nil); err != nil {
 			t.Fatalf("%s: %v", gs.Name, err)
 		}
 		naive.RunND(ref, gs, steps, false)
@@ -175,7 +175,7 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 			g := grid.NewGrid1D(cfg.N[0], 1)
 			fill1D(g, int64(it))
 			ref := g.Clone()
-			if err := Run1D(g, stencil.Heat1D, steps, &cfg, pool); err != nil {
+			if err := Run1D(g, stencil.OneStage(stencil.Heat1D), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 				t.Fatalf("iter %d: %v", it, err)
 			}
 			naive.Run1D(ref, stencil.Heat1D, steps, nil)
@@ -189,7 +189,7 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 			g := grid.NewGrid2D(cfg.N[0], cfg.N[1], 1, 1)
 			fill2D(g, int64(it))
 			ref := g.Clone()
-			if err := Run2D(g, stencil.Box2D9, steps, &cfg, pool); err != nil {
+			if err := Run2D(g, stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 				t.Fatalf("iter %d: %v", it, err)
 			}
 			naive.Run2D(ref, stencil.Box2D9, steps, nil)
@@ -200,26 +200,98 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadArguments(t *testing.T) {
+// rejectCase is one argument set Run1D must reject, leaving Step at 0.
+type rejectCase struct {
+	name string
+	n, h int // grid extent and halo
+	p    *stencil.Pipeline
+	cfg  *Config // nil: no schedule
+	m    *grid.Mask
+}
+
+func expectRejected(t *testing.T, cases []rejectCase) {
+	t.Helper()
 	pool := par.NewPool(1)
 	defer pool.Close()
-	g1 := grid.NewGrid1D(20, 1)
-	cfg := Config{N: []int{20}, Slopes: []int{1}, BT: 2, Big: []int{8}, Merge: true}
+	for _, c := range cases {
+		var sched *Schedule
+		if c.cfg != nil {
+			sched = mustSchedule(t, c.cfg, 4)
+		}
+		g := grid.NewGrid1D(c.n, c.h)
+		if err := Run1D(g, c.p, sched, pool, c.m, nil); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
+		if g.Step != 0 {
+			t.Errorf("%s: rejected run advanced Step to %d", c.name, g.Step)
+		}
+	}
+}
 
-	if err := Run1D(g1, stencil.Heat2D, 4, &cfg, pool); err == nil {
-		t.Error("2D kernel on 1D run should fail")
+// lshapeMask returns the lshape mask over n, failing the test on error.
+func lshapeMask(t *testing.T, n ...int) *grid.Mask {
+	t.Helper()
+	m, err := grid.NamedMask("lshape", n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Run1D(g1, stencil.P1D5, 4, &cfg, pool); err == nil {
-		t.Error("halo 1 with slope-2 stencil should fail")
-	}
+	return m
+}
+
+var rejectCfg = Config{N: []int{20}, Slopes: []int{1}, BT: 2, Big: []int{8}, Merge: true}
+
+func TestRunRejectsBadArguments(t *testing.T) {
+	cfg := rejectCfg
+	slope2 := Config{N: []int{20}, Slopes: []int{2}, BT: 2, Big: []int{8}, Merge: true}
 	badN := cfg
 	badN.N = []int{21}
-	if err := Run1D(g1, stencil.Heat1D, 4, &badN, pool); err == nil {
-		t.Error("config/grid extent mismatch should fail")
-	}
+	heat := stencil.OneStage(stencil.Heat1D)
+	expectRejected(t, []rejectCase{
+		{"2D kernel on 1D run", 20, 1, stencil.OneStage(stencil.Heat2D), &cfg, nil},
+		{"halo 1 with slope-2 stencil", 20, 1, stencil.OneStage(stencil.P1D5), &slope2, nil},
+		{"schedule/grid extent mismatch", 20, 1, heat, &badN, nil},
+		{"nil schedule", 20, 1, heat, nil, nil},
+	})
 	badBig := cfg
 	badBig.Big = []int{2}
-	if err := Run1D(g1, stencil.Heat1D, 4, &badBig, pool); err == nil {
+	if _, err := NewSchedule(&badBig, 4); err == nil {
 		t.Error("Big < 2*BT*S should fail")
 	}
+}
+
+// A nil mask is valid input (the full domain); a mask whose extent or
+// rank differs from the grid's is not.
+func TestRunMaskedRejectsBadArguments(t *testing.T) {
+	cfg := rejectCfg
+	heat := stencil.OneStage(stencil.Heat1D)
+	expectRejected(t, []rejectCase{
+		{"mask extent mismatch", 20, 1, heat, &cfg, lshapeMask(t, 21)},
+		{"mask rank mismatch", 20, 1, heat, &cfg, lshapeMask(t, 20, 20)},
+	})
+}
+
+func TestRunPipelineRejectsBadArguments(t *testing.T) {
+	rk2 := Config{N: []int{40}, Slopes: []int{2}, BT: 2, Big: []int{16}, Merge: true}
+	rk2Slope1 := rk2
+	rk2Slope1.Slopes = []int{1}
+	p := rk2ish(stencil.Heat1D) // compound slope 2
+	expectRejected(t, []rejectCase{
+		{"halo 1 with compound slope 2", 40, 1, p, &rk2, nil},
+		{"schedule slopes != compound slopes", 40, 2, p, &rk2Slope1, nil},
+		{"invalid pipeline", 40, 2, &stencil.Pipeline{Name: "empty"}, &rk2, nil},
+		{"nil pipeline", 40, 2, nil, &rk2, nil},
+		{"2D pipeline on 1D run", 40, 2, rk2ish(stencil.Heat2D), &rk2, nil},
+		{"pipeline mask extent mismatch", 40, 2, p, &rk2, lshapeMask(t, 39)},
+	})
+}
+
+// mustSchedule builds the schedule for (cfg, steps), failing the test
+// on error.
+func mustSchedule(t testing.TB, cfg *Config, steps int) *Schedule {
+	t.Helper()
+	sched, err := NewSchedule(cfg, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }

@@ -22,7 +22,7 @@ func TestTelemetryBitwiseIdenticalAndExactPointCount(t *testing.T) {
 		cfg := DefaultConfig([]int{nx, ny}, stencil.Heat2D.Slopes)
 		pool := par.NewPool(4)
 		defer pool.Close()
-		if err := Run2D(g, stencil.Heat2D, steps, &cfg, pool); err != nil {
+		if err := Run2D(g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return g

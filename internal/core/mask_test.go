@@ -26,7 +26,7 @@ func TestRunMasked1DMatchesNaive(t *testing.T) {
 			fill1D(g, 21)
 			ref := g.Clone()
 			steps := 13
-			if err := RunMasked1D(g, s, steps, &cfg, pool, m); err != nil {
+			if err := Run1D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 				t.Fatalf("%s/%s: %v", s.Name, name, err)
 			}
 			if err := naive.RunMasked1D(ref, s, steps, nil, m); err != nil {
@@ -57,7 +57,7 @@ func TestRunMasked2DMatchesNaive(t *testing.T) {
 				fill2D(g, 22)
 				ref := g.Clone()
 				steps := 8
-				if err := RunMasked2D(g, s, steps, &cfg, pool, m); err != nil {
+				if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 					t.Fatalf("%s/%s merge=%v: %v", s.Name, name, merge, err)
 				}
 				if err := naive.RunMasked2D(ref, s, steps, nil, m); err != nil {
@@ -85,6 +85,8 @@ func TestRunMaskedConcurrentFinalize(t *testing.T) {
 				m.Set(false, x, y)
 			}
 		}
+		cfg := Config{N: []int{nx, ny}, Slopes: s.Slopes, BT: 2, Big: []int{12, 12}, Merge: true}
+		sched := mustSchedule(t, &cfg, steps)
 		var wg sync.WaitGroup
 		grids := make([]*grid.Grid2D, 2)
 		errs := make([]error, 2)
@@ -97,8 +99,7 @@ func TestRunMaskedConcurrentFinalize(t *testing.T) {
 				defer wg.Done()
 				pool := par.NewPool(2)
 				defer pool.Close()
-				cfg := Config{N: []int{nx, ny}, Slopes: s.Slopes, BT: 2, Big: []int{12, 12}, Merge: true}
-				errs[k] = RunMasked2D(grids[k], s, steps, &cfg, pool, m)
+				errs[k] = Run2D(grids[k], stencil.OneStage(s), sched, pool, m, nil)
 			}(k)
 		}
 		wg.Wait()
@@ -131,7 +132,7 @@ func TestRunMasked3DMatchesNaive(t *testing.T) {
 		fill3D(g, 23)
 		ref := g.Clone()
 		steps := 6
-		if err := RunMasked3D(g, s, steps, &cfg, pool, m); err != nil {
+		if err := Run3D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		if err := naive.RunMasked3D(ref, s, steps, nil, m); err != nil {
@@ -162,7 +163,7 @@ func TestRunMaskedPathsMatchNaive(t *testing.T) {
 		g := grid.NewGrid2D(37, 41, 1, 1)
 		fill2D(g, 24)
 		ref := g.Clone()
-		if err := RunMasked2D(g, stencil.Heat2D, 9, &cfg, pool, m); err != nil {
+		if err := Run2D(g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 9), pool, m, nil); err != nil {
 			t.Fatalf("path %s: %v", path, err)
 		}
 		if err := naive.RunMasked2D(ref, stencil.Heat2D, 9, nil, m); err != nil {
@@ -202,7 +203,7 @@ func TestRunMaskedBoundaryAdjacent(t *testing.T) {
 	fill2D(g, 25)
 	ref := g.Clone()
 	steps := 9
-	if err := RunMasked2D(g, stencil.Box2D9, steps, &cfg, pool, m); err != nil {
+	if err := Run2D(g, stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := naive.RunMasked2D(ref, stencil.Box2D9, steps, nil, m); err != nil {
@@ -216,24 +217,6 @@ func TestRunMaskedBoundaryAdjacent(t *testing.T) {
 		if g.At(0, y) != ref.At(0, y) {
 			t.Fatalf("boundary ring cell (0,%d) diverged", y)
 		}
-	}
-}
-
-func TestRunMaskedRejectsBadArguments(t *testing.T) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	cfg := Config{N: []int{20}, Slopes: []int{1}, BT: 2, Big: []int{8}, Merge: true}
-	g := grid.NewGrid1D(20, 1)
-	if err := RunMasked1D(g, stencil.Heat1D, 4, &cfg, pool, nil); err == nil {
-		t.Error("nil mask should fail (use Run1D for unmasked runs)")
-	}
-	m, _ := grid.NamedMask("lshape", []int{21})
-	if err := RunMasked1D(g, stencil.Heat1D, 4, &cfg, pool, m); err == nil {
-		t.Error("mask extent mismatch should fail")
-	}
-	m2, _ := grid.NamedMask("lshape", []int{20, 20})
-	if err := RunMasked1D(g, stencil.Heat1D, 4, &cfg, pool, m2); err == nil {
-		t.Error("mask rank mismatch should fail")
 	}
 }
 

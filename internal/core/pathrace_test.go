@@ -98,7 +98,7 @@ func TestOnePathPerRunUnderConcurrentSwitch(t *testing.T) {
 
 // TestSetKernelPathNames pins the selector API: valid names round-trip
 // through KernelPath, unknown names error without changing the
-// setting, and the deprecated bool shim maps onto row/block.
+// setting, and BlockKernelsEnabled follows the row/block switch.
 func TestSetKernelPathNames(t *testing.T) {
 	defer SetKernelPath(KernelPath())
 	for _, name := range []string{"row", "block", "simd"} {
@@ -115,14 +115,11 @@ func TestSetKernelPathNames(t *testing.T) {
 	if got := KernelPath(); got != "simd" {
 		t.Fatalf("failed SetKernelPath changed the selection to %q", got)
 	}
-	SetBlockKernels(false)
-	if got := KernelPath(); got != "row" {
-		t.Fatalf("SetBlockKernels(false) -> %q, want row", got)
+	SetKernelPath("row")
+	if BlockKernelsEnabled() {
+		t.Fatal("BlockKernelsEnabled true on row path")
 	}
-	SetBlockKernels(true)
-	if got := KernelPath(); got != "block" {
-		t.Fatalf("SetBlockKernels(true) -> %q, want block", got)
-	}
+	SetKernelPath("block")
 	if !BlockKernelsEnabled() {
 		t.Fatal("BlockKernelsEnabled false on block path")
 	}
@@ -154,7 +151,7 @@ func TestSIMDPathDegradesToBlock(t *testing.T) {
 	defer pool.Close()
 	g := grid.NewGrid2D(n, n, 1, 1)
 	g.Fill(func(x, y int) float64 { return float64(x ^ y) })
-	if err := Run2D(g, spec, 2, &cfg, pool); err != nil {
+	if err := Run2D(g, stencil.OneStage(spec), mustSchedule(t, &cfg, 2), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if blockC.Load() == 0 {

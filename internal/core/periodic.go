@@ -140,7 +140,10 @@ func RunNDPeriodic(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, 
 	if gs.Dims != g.D() {
 		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
 	}
-	if err := checkConfig(cfg, g.Dims, gs.Slopes); err != nil {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := checkShape(cfg, g.Dims, gs.Slopes); err != nil {
 		return err
 	}
 	if err := ValidatePeriodicConfig(cfg); err != nil {

@@ -10,13 +10,7 @@
 
 package core
 
-import (
-	"fmt"
-
-	"tessellate/internal/grid"
-	"tessellate/internal/par"
-	"tessellate/internal/stencil"
-)
+import "fmt"
 
 // PhaseHook is consulted between segments of a phased run, at a full
 // synchronization point where every grid point has advanced exactly
@@ -26,51 +20,30 @@ import (
 // and slopes (it is validated before use).
 type PhaseHook func(stepsDone int, cur *Config) *Config
 
-// RunPhased1D is Run1D that pauses every `every` phases (of cfg.BT
-// steps each) to consult hook. every < 1 means 1; a nil hook degrades
-// to a single plain run.
-func RunPhased1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool, every int, hook PhaseHook) error {
-	return runPhased(steps, cfg, every, hook, func(seg int, c *Config) error {
-		return Run1D(g, s, seg, c, pool)
-	})
-}
-
-// RunPhased2D is Run2D with a phase-boundary hook; see RunPhased1D.
-func RunPhased2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool, every int, hook PhaseHook) error {
-	return runPhased(steps, cfg, every, hook, func(seg int, c *Config) error {
-		return Run2D(g, s, seg, c, pool)
-	})
-}
-
-// RunPhased3D is Run3D with a phase-boundary hook; see RunPhased1D.
-func RunPhased3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool, every int, hook PhaseHook) error {
-	return runPhased(steps, cfg, every, hook, func(seg int, c *Config) error {
-		return Run3D(g, s, seg, c, pool)
-	})
-}
-
-// runPhased drives run in segments of every*BT steps, consulting hook
-// between segments and swapping in any replacement configuration for
-// the remainder of the run.
-func runPhased(steps int, cfg *Config, every int, hook PhaseHook, run func(seg int, c *Config) error) error {
-	if hook == nil {
-		return run(steps, cfg)
-	}
+// RunPhased drives run over segments of every*cfg.BT steps (every < 1
+// means 1), building each segment's Schedule and consulting hook
+// between segments, swapping in any replacement configuration for the
+// remainder of the run; a nil hook degrades to a single segment of all
+// steps.
+func RunPhased(steps int, cfg *Config, every int, hook PhaseHook, run func(seg *Schedule) error) error {
 	if every < 1 {
 		every = 1
 	}
 	done := 0
-	for done < steps {
-		seg := every * cfg.BT
-		if seg > steps-done {
-			seg = steps - done
+	for {
+		seg := steps - done
+		if hook != nil {
+			seg = min(seg, every*cfg.BT)
 		}
-		if err := run(seg, cfg); err != nil {
+		sched, err := NewSchedule(cfg, seg)
+		if err != nil {
 			return err
 		}
-		done += seg
-		if done >= steps {
-			break
+		if err := run(sched); err != nil {
+			return err
+		}
+		if done += seg; done >= steps {
+			return nil
 		}
 		if next := hook(done, cfg); next != nil {
 			if err := next.Validate(); err != nil {
@@ -79,5 +52,4 @@ func runPhased(steps int, cfg *Config, every int, hook PhaseHook, run func(seg i
 			cfg = next
 		}
 	}
-	return nil
 }

@@ -26,7 +26,7 @@ func TestRunChainedSegmentsMatchNaive(t *testing.T) {
 		ref := g.Clone()
 		total := 0
 		for _, seg := range split {
-			if err := Run2D(g, s, seg, &cfg, pool); err != nil {
+			if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, seg), pool, nil, nil); err != nil {
 				t.Fatalf("split %v: %v", split, err)
 			}
 			total += seg
@@ -65,7 +65,9 @@ func TestRunPhasedRetilesExactly(t *testing.T) {
 			}
 			return &alt
 		}
-		if err := RunPhased2D(g, s, steps, &cfg, pool, every, hook); err != nil {
+		if err := RunPhased(steps, &cfg, every, hook, func(sc *Schedule) error {
+			return Run2D(g, stencil.OneStage(s), sc, pool, nil, nil)
+		}); err != nil {
 			t.Fatalf("every=%d: %v", every, err)
 		}
 		if calls == 0 {
@@ -98,7 +100,9 @@ func TestRunPhased1DAnd3D(t *testing.T) {
 		swapped = true
 		return &Config{N: []int{97}, Slopes: s1.Slopes, BT: 2, Big: []int{12}, Merge: true}
 	}
-	if err := RunPhased1D(g1, s1, 19, &cfg1, pool, 1, hook1); err != nil {
+	if err := RunPhased(19, &cfg1, 1, hook1, func(sc *Schedule) error {
+		return Run1D(g1, stencil.OneStage(s1), sc, pool, nil, nil)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	naive.Run1D(ref1, s1, 19, nil)
@@ -111,7 +115,9 @@ func TestRunPhased1DAnd3D(t *testing.T) {
 	fill3D(g3, 5)
 	ref3 := g3.Clone()
 	cfg3 := Config{N: []int{21, 23, 25}, Slopes: s3.Slopes, BT: 2, Big: []int{8, 8, 10}, Merge: true}
-	if err := RunPhased3D(g3, s3, 11, &cfg3, pool, 2, func(int, *Config) *Config { return nil }); err != nil {
+	if err := RunPhased(11, &cfg3, 2, func(int, *Config) *Config { return nil }, func(sc *Schedule) error {
+		return Run3D(g3, stencil.OneStage(s3), sc, pool, nil, nil)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	naive.Run3D(ref3, s3, 11, nil)
@@ -131,7 +137,9 @@ func TestRunPhasedRejectsInvalidHookConfig(t *testing.T) {
 	g := grid.NewGrid2D(37, 41, 1, 1)
 	fill2D(g, 13)
 	bad := Config{N: []int{37, 41}, Slopes: s.Slopes, BT: 8, Big: []int{4, 4}, Merge: true} // Big < 2*BT*slope
-	err := RunPhased2D(g, s, 23, &cfg, pool, 1, func(int, *Config) *Config { return &bad })
+	err := RunPhased(23, &cfg, 1, func(int, *Config) *Config { return &bad }, func(sc *Schedule) error {
+		return Run2D(g, stencil.OneStage(s), sc, pool, nil, nil)
+	})
 	if err == nil {
 		t.Fatal("invalid hook config accepted")
 	}

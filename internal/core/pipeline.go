@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"tessellate/internal/grid"
@@ -10,9 +10,10 @@ import (
 )
 
 // Pipeline execution. A stencil.Pipeline's logical time step is a
-// chain of atomic stages; the executors here fuse the whole chain into
-// each block visit of the tessellation schedule, built for the
-// pipeline's COMPOUND slope (the per-dimension sum of stage slopes).
+// chain of atomic stages (a plain stencil is the one-stage chain); the
+// pipeline body here fuses the whole chain into each block visit the
+// walker hands it, on a schedule built for the pipeline's COMPOUND
+// slope (the per-dimension sum of stage slopes).
 //
 // Geometry: let F be the box a single-stage schedule of the compound
 // slope would write at this visit (Config.Bounds), and grow[i] the sum
@@ -41,9 +42,8 @@ import (
 //
 // Stencil→blend pairs whose stencil is rebasable (fusedPairs) run as
 // one strip-mined body instead: the stencil's resolved kernel writes a
-// strip — a chunk
-// of the row in 1D, two rows in 2D, two pencils of one plane in 3D —
-// into a small per-worker buffer, and BlendRow consumes it at once.
+// strip — a chunk of the row in 1D, two rows in 2D, two pencils of one
+// plane in 3D — into a small per-worker buffer, and BlendRow consumes it at once.
 // The kernel input, the blend's other input and the output are all
 // rebased by one offset so the four buffers share a single index. The
 // blend is pointwise over the same box and the same mask segments as
@@ -51,19 +51,7 @@ import (
 // written; the pair's intermediate slot is never materialized, needs
 // no scratch and has no TmpHalo to keep.
 
-// checkPipeline validates p against the executor's dimensionality and
-// returns the compound slopes.
-func checkPipeline(p *stencil.Pipeline, dims int) ([]int, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Dims() != dims {
-		return nil, fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), dims)
-	}
-	return p.Slopes(), nil
-}
-
-// fusedPairs returns the stage pairs the executors run as one body.
+// fusedPairs returns the stage pairs the pipeline body runs as one.
 // fused[i] is true when stage i applies a rebasable spec
 // (stencil.Rebasable), stage i+1 is a blend reading slot i+1 (through
 // In, InB or both), and no later stage reads slot i+1. The plan is a
@@ -90,67 +78,192 @@ func fusedPairs(p *stencil.Pipeline) []bool {
 	return fused
 }
 
-// pipeScratch is one worker's buffers: tmp[j] backs intermediate slot
-// j+1 in the grid's layout (nil for a fused pair's slot, which is
-// never materialized), and strip holds a fused pair's strip.
-type pipeScratch struct {
-	tmp   [][]float64
-	strip []float64
+// pipeBody is the walker body of a pipeline run: the stage loop of one
+// block visit, shared by every dimension. The dimension-specific part
+// — applying one stage (or fused pair) to a box — is dim.
+type pipeBody struct {
+	p     *stencil.Pipeline
+	sched *Schedule
+	grow  [][]int // per-stage growth (SuffixSlopes); nil where zero
+	fused []bool
+	path  stencil.Path   // the run's dispatch ceiling, sampled once
+	kpath []stencil.Path // each stencil stage's resolved path
+	m     *grid.Mask
+	buf   [2][]float64 // the state grid's parity buffers
+	dim   boxer
 }
 
-// newScratch allocates per-worker buffers: a TmpHalo-filled slot of
-// buflen cells per materialized intermediate, and a stripLen strip if
-// the pipeline has a fused pair.
-func newScratch(workers int, p *stencil.Pipeline, fused []bool, buflen, stripLen int) []pipeScratch {
-	anyFused := false
-	for _, f := range fused {
-		anyFused = anyFused || f
+// boxer applies stage i of b's pipeline — with stage i+1 when
+// b.fused[i] — to the box [lo, hi) on the buffers sb, using l's strip
+// and tallying kernel calls in l.
+type boxer interface {
+	box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane)
+}
+
+// stageBufs are the buffers stage i (a fused pair: the stencil's input
+// and the blend's inputs and output) reads and writes at one input
+// parity: in is the stencil input, ia and ib the blend inputs (nil for
+// a fused pair's unmaterialized slot) and out the output, the state's
+// destination for the final stage.
+type stageBufs struct{ in, out, ia, ib []float64 }
+
+// newPipeBody prepares a validated pipeline for one run over sched.
+// One path per run: it is sampled here, never re-read, so a concurrent
+// SetKernelPath cannot mix dispatch shapes within a run.
+func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]float64) *pipeBody {
+	grow := p.SuffixSlopes()
+	for i, g := range grow {
+		if slices.Max(g) == 0 {
+			grow[i] = nil
+		}
 	}
-	scratch := make([]pipeScratch, workers)
-	for w := range scratch {
-		scratch[w].tmp = make([][]float64, p.NumTmp())
-		for j := range scratch[w].tmp {
+	return &pipeBody{
+		p: p, sched: sched, grow: grow, fused: fusedPairs(p),
+		path: runPath(), kpath: make([]stencil.Path, len(p.Stages)), m: m, buf: buf,
+	}
+}
+
+// run walks the schedule with one lane per worker, carrying the
+// scratch newScratch sizes from buflen and stripLen and every stage's
+// buffers resolved for both parities, so visits resolve none.
+func (b *pipeBody) run(pool *par.Pool, buflen, stripLen int, step *int, stop *atomic.Bool) error {
+	lanes := newLanes(pool.Workers(), len(b.sched.cfg.N))
+	newScratch(lanes, b.p, b.fused, buflen, stripLen)
+	nst := len(b.p.Stages)
+	all := make([]stageBufs, 2*nst*len(lanes))
+	for w := range lanes {
+		l := &lanes[w]
+		for par := range l.bufs {
+			src, dst := b.buf[par], b.buf[par^1]
+			l.bufs[par], all = all[:nst:nst], all[nst:]
+			for i := range b.p.Stages {
+				st, bl, last := &b.p.Stages[i], &b.p.Stages[i], i
+				if b.fused[i] {
+					bl, last = &b.p.Stages[i+1], i+1
+				}
+				sb := &l.bufs[par][i]
+				sb.out = dst
+				if last < nst-1 {
+					sb.out = l.tmp[last]
+				}
+				sb.in = pickSlot(st.In, l.tmp, src, dst)
+				sb.ia, sb.ib = pickSlot(bl.In, l.tmp, src, dst), pickSlot(bl.InB, l.tmp, src, dst)
+			}
+		}
+	}
+	return walk(b.sched, step, pool, lanes, b.m, stop, b)
+}
+
+// newScratch gives each lane a TmpHalo-filled slot of buflen cells per
+// materialized intermediate (nil for a fused pair's slot, which is
+// never materialized), and a stripLen strip if the pipeline has a
+// fused pair.
+func newScratch(lanes []lane, p *stencil.Pipeline, fused []bool, buflen, stripLen int) {
+	for w := range lanes {
+		l := &lanes[w]
+		l.tmp = make([][]float64, p.NumTmp())
+		for j := range l.tmp {
 			if fused[j] {
 				continue
 			}
-			s := make([]float64, buflen)
+			l.tmp[j] = make([]float64, buflen)
 			if p.TmpHalo != 0 {
-				for i := range s {
-					s[i] = p.TmpHalo
+				for i := range l.tmp[j] {
+					l.tmp[j][i] = p.TmpHalo
 				}
 			}
-			scratch[w].tmp[j] = s
 		}
-		if anyFused {
-			scratch[w].strip = make([]float64, stripLen)
+		if slices.Contains(fused, true) {
+			l.strip = make([]float64, stripLen)
 		}
 	}
-	return scratch
 }
 
-// stageOut returns the buffer stage i writes: the state's destination
-// for the final stage, its intermediate slot otherwise.
-func stageOut(i, nst int, scr [][]float64, dstBuf []float64) []float64 {
-	if i == nst-1 {
-		return dstBuf
+// visit runs every stage of one block visit whose final write box is
+// l's [lo, hi) with n active points. Stage i runs on that box grown by
+// grow[i] and clipped to the domain (the box itself for zero-growth
+// stages, which reuse the walker's count n). Fully active stage boxes
+// take one full-box call; mixed boxes under a mask run segment by
+// segment.
+func (b *pipeBody) visit(l *lane, par, n int) {
+	bufs := l.bufs[par]
+	for i := range bufs {
+		if i > 0 && b.fused[i-1] {
+			continue // ran inside stage i-1's fused body
+		}
+		lo, hi, cnt := l.lo, l.hi, n
+		if g := b.grow[i]; g != nil {
+			lo, hi = l.slo, l.shi
+			for k := range lo {
+				lo[k], hi[k] = l.lo[k]-g[k], l.hi[k]+g[k]
+			}
+			ClipBox(lo, hi, b.sched.cfg.N)
+			if b.m != nil {
+				cnt = b.m.CountBox(lo, hi)
+			}
+		}
+		if b.m == nil || int64(cnt) == boxVolume(lo, hi) {
+			b.dim.box(b, i, lo, hi, &bufs[i], l)
+		} else {
+			b.segments(i, lo, hi, &bufs[i], l)
+		}
 	}
-	return scr[i]
+}
+
+// segments runs stage i on each maximal active run of the unit-stride
+// dimension inside the mixed box [lo, hi): one call per run, which
+// evaluates each active point with bitwise the arithmetic of a
+// full-box call and never writes an inactive one.
+func (b *pipeBody) segments(i int, lo, hi []int, sb *stageBufs, l *lane) {
+	q0, q1 := l.qlo, l.qhi
+	z := len(lo) - 1
+	copy(q0, lo)
+	for {
+		row := 0
+		for k := 0; k < z; k++ {
+			row = row*b.m.Dims[k] + q0[k]
+			q1[k] = q0[k] + 1
+		}
+		for a := lo[z]; ; a = q1[z] {
+			q0[z], q1[z] = b.m.NextRun(row, a, hi[z])
+			if q0[z] >= hi[z] {
+				break
+			}
+			b.dim.box(b, i, q0, q1, sb, l)
+		}
+		if !nextRow(q0, lo, hi) {
+			return
+		}
+	}
+}
+
+// pickSlot resolves a stage input slot to its backing buffer (nil for
+// a fused pair's unmaterialized slot).
+func pickSlot(slot int, tmp [][]float64, src, dst []float64) []float64 {
+	switch slot {
+	case stencil.PrevState:
+		return dst
+	case 0:
+		return src
+	default:
+		return tmp[slot-1]
+	}
 }
 
 // blendStrip applies the fused blend bl to rows strip rows of n points,
-// the first at strip index lo and the rest stride apart. out, ia and
-// ib are whole grid-layout buffers whose index off+i strip index i
+// the first at strip index lo and the rest stride apart. sb's out, ia
+// and ib are whole grid-layout buffers whose index off+i strip index i
 // stands for; a nil input is the pair's unmaterialized slot, i.e. the
 // strip itself.
-func blendStrip(bl *stencil.Stage, out, ia, ib, strip []float64, off, lo, rows, n, stride int) {
+func blendStrip(bl *stencil.Stage, sb *stageBufs, strip []float64, off, lo, rows, n, stride int) {
 	a, b := strip, strip
-	if ia != nil {
-		a = ia[off:]
+	if sb.ia != nil {
+		a = sb.ia[off:]
 	}
-	if ib != nil {
-		b = ib[off:]
+	if sb.ib != nil {
+		b = sb.ib[off:]
 	}
-	o := out[off:]
+	o := sb.out[off:]
 	for r := 0; r < rows; r++ {
 		stencil.BlendRow(o, a, bl.A, b, bl.B, lo, lo+n)
 		lo += stride
@@ -176,458 +289,98 @@ func (c *callTally) add(p stencil.Path, rows int64) {
 	}
 }
 
-// pickSlot resolves a stage input slot to its backing buffer.
-func pickSlot(slot int, scr [][]float64, srcBuf, dstBuf []float64) []float64 {
-	switch slot {
-	case stencil.PrevState:
-		return dstBuf
-	case 0:
-		return srcBuf
+// box1D applies 1D stages; kernel indices are offset by the halo h.
+type box1D struct {
+	kern []stencil.Kernel1DBlock
+	h    int
+}
+
+func (k *box1D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
+	st, h := &b.p.Stages[i], k.h
+	switch {
+	case b.fused[i]:
+		for c := lo[0]; c < hi[0]; c += strip1D {
+			n := min(strip1D, hi[0]-c)
+			k.kern[i](l.strip, sb.in[c:], h, h+n)
+			blendStrip(&b.p.Stages[i+1], sb, l.strip, c, h, 1, n, 0)
+			l.calls.add(b.kpath[i], 1)
+		}
+	case st.Spec != nil:
+		k.kern[i](sb.out, sb.in, lo[0]+h, hi[0]+h)
+		l.calls.add(b.kpath[i], 1)
 	default:
-		return scr[slot-1]
+		stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, lo[0]+h, hi[0]+h)
 	}
 }
 
-// RunPipeline1D advances a 1D grid by steps logical time steps of the
-// pipeline, fusing all stages inside each block visit. The grid halo
-// and cfg.Slopes must match the pipeline's compound slope. A non-nil
-// mask restricts every stage to its active points (see RunMasked1D).
-func RunPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 1)
-	if err != nil {
-		return err
-	}
-	if g.H < slopes[0] {
-		return fmt.Errorf("core: grid halo %d < compound slope %d", g.H, slopes[0])
-	}
-	if err := checkConfig(cfg, []int{g.N}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.N}); err != nil {
-			return err
-		}
-	}
-	return runPipeline1D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
+// box2D applies 2D stages.
+type box2D struct {
+	kern  []stencil.Kernel2DBlock
+	g     *grid.Grid2D
+	reach int // strip index of interior point (0, 0)
 }
 
-func runPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	h := g.H
-	pth := runPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel1DBlock, nst)
-	kpath := make([]stencil.Path, nst)
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve1D(pth)
+func (k *box2D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
+	st, g := &b.p.Stages[i], k.g
+	base := g.Idx(lo[0], lo[1])
+	nx, ny := hi[0]-lo[0], hi[1]-lo[1]
+	switch {
+	case b.fused[i]:
+		// Row pairs keep the kernels' cross-row register reuse; an odd
+		// box ends with a one-row strip.
+		for x := 0; x < nx; x += 2 {
+			rows := min(2, nx-x)
+			off := base + x*g.SY - k.reach
+			k.kern[i](l.strip, sb.in[off:], k.reach, rows, ny, g.SY)
+			blendStrip(&b.p.Stages[i+1], sb, l.strip, off, k.reach, rows, ny, g.SY)
+			l.calls.add(b.kpath[i], int64(rows))
+		}
+	case st.Spec != nil:
+		k.kern[i](sb.out, sb.in, base, nx, ny, g.SY)
+		l.calls.add(b.kpath[i], int64(nx))
+	default:
+		for x := 0; x < nx; x++ {
+			stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, base, base+ny)
+			base += g.SY
 		}
 	}
-	grow := p.SuffixSlopes()
-	fused := fusedPairs(p)
-	// A 1D strip is a strip1D-point chunk of the row at index h, so its
-	// kernel reads stay at or above index 0.
-	scratch := newScratch(pool.Workers(), p, fused, len(g.Buf[0]), h+strip1D)
-	pb := g.Step & 1
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr, strip := scratch[wkr].tmp, scratch[wkr].strip
-			var flo, fhi, clo, chi, slo, shi [1]int
-			var pts int64
-			var calls callTally
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					clo[0], chi[0] = flo[0], fhi[0]
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0] - clo[0])
-					}
-					for i := 0; i < nst; i++ {
-						if i > 0 && fused[i-1] {
-							continue // ran inside stage i-1's fused body
-						}
-						st := &p.Stages[i]
-						slo[0], shi[0] = flo[0]-grow[i][0], fhi[0]+grow[i][0]
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						run := func(a, b int) {
-							switch {
-							case fused[i]:
-								bl := &p.Stages[i+1]
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								out := stageOut(i+1, nst, scr, dstBuf)
-								ia := pickSlot(bl.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(bl.InB, scr, srcBuf, dstBuf)
-								for c := a; c < b; c += strip1D {
-									n := min(strip1D, b-c)
-									kern[i](strip, in[c:], h, h+n)
-									blendStrip(bl, out, ia, ib, strip, c, h, 1, n, 0)
-									calls.add(kpath[i], 1)
-								}
-							case st.Spec != nil:
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](stageOut(i, nst, scr, dstBuf), in, a+h, b+h)
-								calls.add(kpath[i], 1)
-							default:
-								ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-								stencil.BlendRow(stageOut(i, nst, scr, dstBuf), ia, st.A, ib, st.B, a+h, b+h)
-							}
-						}
-						if m == nil {
-							run(slo[0], shi[0])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == shi[0]-slo[0] {
-							run(slo[0], shi[0])
-							continue
-						}
-						for a := slo[0]; ; {
-							ra, rb := m.NextRun(0, a, shi[0])
-							if ra >= shi[0] {
-								break
-							}
-							run(ra, rb)
-							a = rb
-						}
-					}
-				}
+}
+
+// box3D applies 3D stages.
+type box3D struct {
+	kern  []stencil.Kernel3DBlock
+	g     *grid.Grid3D
+	reach int // strip index of interior point (0, 0, 0)
+}
+
+func (k *box3D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
+	st, g := &b.p.Stages[i], k.g
+	xBase := g.Idx(lo[0], lo[1], lo[2])
+	nx, ny, nz := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
+	switch {
+	case b.fused[i]:
+		// Pencil pairs within one plane keep the kernels' cross-pencil
+		// reuse; an odd plane ends with a one-pencil strip.
+		for x := 0; x < nx; x++ {
+			for y := 0; y < ny; y += 2 {
+				rows := min(2, ny-y)
+				off := xBase + x*g.SX + y*g.SY - k.reach
+				k.kern[i](l.strip, sb.in[off:], k.reach, 1, rows, nz, g.SY, g.SX)
+				blendStrip(&b.p.Stages[i+1], sb, l.strip, off, k.reach, rows, nz, g.SY)
+				l.calls.add(b.kpath[i], int64(rows))
 			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, calls.rows, calls.blocks, calls.simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
-	g.Step += steps
-	return nil
-}
-
-// RunPipeline2D advances a 2D grid by steps logical time steps of the
-// pipeline (see RunPipeline1D).
-func RunPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 2)
-	if err != nil {
-		return err
-	}
-	if g.HX < slopes[0] || g.HY < slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < compound slopes %v", g.HX, g.HY, slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.NX, g.NY}); err != nil {
-			return err
 		}
-	}
-	return runPipeline2D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
-}
-
-func runPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := runPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel2DBlock, nst)
-	kpath := make([]stencil.Path, nst)
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve2D(pth)
-		}
-	}
-	grow := p.SuffixSlopes()
-	fused := fusedPairs(p)
-	// A 2D strip is two rows in the grid's layout starting at index
-	// reach, so kernel reads (at most HX rows and HY cells back) stay
-	// at or above index 0.
-	reach := g.Idx(0, 0)
-	scratch := newScratch(pool.Workers(), p, fused, len(g.Buf[0]), reach+g.SY+g.NY)
-	pb := g.Step & 1
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr, strip := scratch[wkr].tmp, scratch[wkr].strip
-			var flo, fhi, clo, chi, slo, shi [2]int
-			var pts int64
-			var calls callTally
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					copy(clo[:], flo[:])
-					copy(chi[:], fhi[:])
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0]-clo[0]) * int64(chi[1]-clo[1])
-					}
-					for i := 0; i < nst; i++ {
-						if i > 0 && fused[i-1] {
-							continue // ran inside stage i-1's fused body
-						}
-						st := &p.Stages[i]
-						for k := 0; k < 2; k++ {
-							slo[k], shi[k] = flo[k]-grow[i][k], fhi[k]+grow[i][k]
-						}
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						run := func(x0, y0, nx, ny int) {
-							base := g.Idx(x0, y0)
-							switch {
-							case fused[i]:
-								// Row pairs keep the kernels' cross-row
-								// register reuse; an odd box ends with a
-								// one-row strip.
-								bl := &p.Stages[i+1]
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								out := stageOut(i+1, nst, scr, dstBuf)
-								ia := pickSlot(bl.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(bl.InB, scr, srcBuf, dstBuf)
-								for x := 0; x < nx; x += 2 {
-									rows := min(2, nx-x)
-									off := base + x*g.SY - reach
-									kern[i](strip, in[off:], reach, rows, ny, g.SY)
-									blendStrip(bl, out, ia, ib, strip, off, reach, rows, ny, g.SY)
-									calls.add(kpath[i], int64(rows))
-								}
-							case st.Spec != nil:
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](stageOut(i, nst, scr, dstBuf), in, base, nx, ny, g.SY)
-								calls.add(kpath[i], int64(nx))
-							default:
-								out := stageOut(i, nst, scr, dstBuf)
-								ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-								for x := 0; x < nx; x++ {
-									stencil.BlendRow(out, ia, st.A, ib, st.B, base, base+ny)
-									base += g.SY
-								}
-							}
-						}
-						if m == nil {
-							run(slo[0], slo[1], shi[0]-slo[0], shi[1]-slo[1])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == (shi[0]-slo[0])*(shi[1]-slo[1]) {
-							run(slo[0], slo[1], shi[0]-slo[0], shi[1]-slo[1])
-							continue
-						}
-						for x := slo[0]; x < shi[0]; x++ {
-							for a := slo[1]; ; {
-								ra, rb := m.NextRun(x, a, shi[1])
-								if ra >= shi[1] {
-									break
-								}
-								run(x, ra, 1, rb-ra)
-								a = rb
-							}
-						}
-					}
-				}
+	case st.Spec != nil:
+		k.kern[i](sb.out, sb.in, xBase, nx, ny, nz, g.SY, g.SX)
+		l.calls.add(b.kpath[i], int64(nx)*int64(ny))
+	default:
+		for x := 0; x < nx; x++ {
+			base := xBase
+			for y := 0; y < ny; y++ {
+				stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, base, base+nz)
+				base += g.SY
 			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, calls.rows, calls.blocks, calls.simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
-	g.Step += steps
-	return nil
-}
-
-// RunPipeline3D advances a 3D grid by steps logical time steps of the
-// pipeline (see RunPipeline1D).
-func RunPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 3)
-	if err != nil {
-		return err
-	}
-	if g.HX < slopes[0] || g.HY < slopes[1] || g.HZ < slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < compound slopes %v", g.HX, g.HY, g.HZ, slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY, g.NZ}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.NX, g.NY, g.NZ}); err != nil {
-			return err
+			xBase += g.SX
 		}
 	}
-	return runPipeline3D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
-}
-
-func runPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := runPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel3DBlock, nst)
-	kpath := make([]stencil.Path, nst)
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve3D(pth)
-		}
-	}
-	grow := p.SuffixSlopes()
-	fused := fusedPairs(p)
-	// A 3D strip is two pencils of one plane in the grid's layout
-	// starting at index reach, so kernel reads (at most HX planes, HY
-	// pencils and HZ cells back) stay at or above index 0.
-	reach := g.Idx(0, 0, 0)
-	scratch := newScratch(pool.Workers(), p, fused, len(g.Buf[0]), reach+g.SY+g.NZ)
-	pb := g.Step & 1
-	ny := g.NY
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr, strip := scratch[wkr].tmp, scratch[wkr].strip
-			var flo, fhi, clo, chi, slo, shi [3]int
-			var pts int64
-			var calls callTally
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					copy(clo[:], flo[:])
-					copy(chi[:], fhi[:])
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0]-clo[0]) * int64(chi[1]-clo[1]) * int64(chi[2]-clo[2])
-					}
-					for i := 0; i < nst; i++ {
-						if i > 0 && fused[i-1] {
-							continue // ran inside stage i-1's fused body
-						}
-						st := &p.Stages[i]
-						for k := 0; k < 3; k++ {
-							slo[k], shi[k] = flo[k]-grow[i][k], fhi[k]+grow[i][k]
-						}
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						run := func(x0, y0, z0, nx, nyy, nz int) {
-							xBase := g.Idx(x0, y0, z0)
-							switch {
-							case fused[i]:
-								// Pencil pairs within one plane keep the
-								// kernels' cross-pencil reuse; an odd
-								// plane ends with a one-pencil strip.
-								bl := &p.Stages[i+1]
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								out := stageOut(i+1, nst, scr, dstBuf)
-								ia := pickSlot(bl.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(bl.InB, scr, srcBuf, dstBuf)
-								for x := 0; x < nx; x++ {
-									for y := 0; y < nyy; y += 2 {
-										rows := min(2, nyy-y)
-										off := xBase + x*g.SX + y*g.SY - reach
-										kern[i](strip, in[off:], reach, 1, rows, nz, g.SY, g.SX)
-										blendStrip(bl, out, ia, ib, strip, off, reach, rows, nz, g.SY)
-										calls.add(kpath[i], int64(rows))
-									}
-								}
-							case st.Spec != nil:
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](stageOut(i, nst, scr, dstBuf), in, xBase, nx, nyy, nz, g.SY, g.SX)
-								calls.add(kpath[i], int64(nx)*int64(nyy))
-							default:
-								out := stageOut(i, nst, scr, dstBuf)
-								ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-								ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-								for x := 0; x < nx; x++ {
-									base := xBase
-									for y := 0; y < nyy; y++ {
-										stencil.BlendRow(out, ia, st.A, ib, st.B, base, base+nz)
-										base += g.SY
-									}
-									xBase += g.SX
-								}
-							}
-						}
-						if m == nil {
-							run(slo[0], slo[1], slo[2], shi[0]-slo[0], shi[1]-slo[1], shi[2]-slo[2])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == (shi[0]-slo[0])*(shi[1]-slo[1])*(shi[2]-slo[2]) {
-							run(slo[0], slo[1], slo[2], shi[0]-slo[0], shi[1]-slo[1], shi[2]-slo[2])
-							continue
-						}
-						for x := slo[0]; x < shi[0]; x++ {
-							for y := slo[1]; y < shi[1]; y++ {
-								row := x*ny + y
-								for a := slo[2]; ; {
-									ra, rb := m.NextRun(row, a, shi[2])
-									if ra >= shi[2] {
-										break
-									}
-									run(x, y, ra, 1, 1, rb-ra)
-									a = rb
-								}
-							}
-						}
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, calls.rows, calls.blocks, calls.simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
-	g.Step += steps
-	return nil
 }

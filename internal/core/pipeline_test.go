@@ -85,7 +85,7 @@ func TestRunPipeline1DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid1D(89, slope)
 				fill1D(g, 11)
 				ref := g.Clone()
-				if err := RunPipeline1D(g, p, steps, &cfg, pool, nil); err != nil {
+				if err := Run1D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", p.Name, merge, steps, err)
 				}
 				if err := naive.RunPipeline1D(ref, p, steps, nil, nil); err != nil {
@@ -114,7 +114,7 @@ func TestRunPipeline2DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid2D(33, 38, sl[0], sl[1])
 				fill2D(g, 12)
 				ref := g.Clone()
-				if err := RunPipeline2D(g, p, steps, &cfg, pool, nil); err != nil {
+				if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", p.Name, merge, steps, err)
 				}
 				if err := naive.RunPipeline2D(ref, p, steps, nil, nil); err != nil {
@@ -140,7 +140,7 @@ func TestRunPipeline3DMatchesNaive(t *testing.T) {
 			fill3D(g, 13)
 			ref := g.Clone()
 			steps := 5
-			if err := RunPipeline3D(g, p, steps, &cfg, pool, nil); err != nil {
+			if err := Run3D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 				t.Fatalf("%s merge=%v: %v", p.Name, merge, err)
 			}
 			if err := naive.RunPipeline3D(ref, p, steps, nil, nil); err != nil {
@@ -171,7 +171,7 @@ func TestRunPipelinePathsMatchNaive(t *testing.T) {
 		g := grid.NewGrid2D(30, 34, sl[0], sl[1])
 		fill2D(g, 14)
 		ref := g.Clone()
-		if err := RunPipeline2D(g, p, 9, &cfg, pool, nil); err != nil {
+		if err := Run2D(g, p, mustSchedule(t, &cfg, 9), pool, nil, nil); err != nil {
 			t.Fatalf("path %s: %v", path, err)
 		}
 		if err := naive.RunPipeline2D(ref, p, 9, nil, nil); err != nil {
@@ -199,7 +199,7 @@ func TestRunPipelineMaskedMatchesNaive(t *testing.T) {
 			fill2D(g, 15)
 			ref := g.Clone()
 			steps := 7
-			if err := RunPipeline2D(g, p, steps, &cfg, pool, m); err != nil {
+			if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, name, err)
 			}
 			if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
@@ -278,7 +278,8 @@ func TestPipelineFusionPlan(t *testing.T) {
 		for _, f := range c.fused {
 			wantStrip = wantStrip || f
 		}
-		scratch := newScratch(3, c.p, fused, 64, 16)
+		scratch := newLanes(3, 1)
+		newScratch(scratch, c.p, fused, 64, 16)
 		for w, sc := range scratch {
 			slots := 0
 			for _, buf := range sc.tmp {
@@ -363,7 +364,7 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill1D(g, 21)
 				ref := g.Clone()
 				cfg := Config{N: []int{97}, Slopes: p.Slopes(), BT: 3, Big: []int{8 * p.Slopes()[0]}, Merge: true}
-				if err := RunPipeline1D(g, p, 9, &cfg, pool, m); err != nil {
+				if err := Run1D(g, p, mustSchedule(t, &cfg, 9), pool, m, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
 				if err := naive.RunPipeline1D(ref, p, 9, nil, m); err != nil {
@@ -389,7 +390,7 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill2D(g, 22)
 				ref := g.Clone()
 				cfg := Config{N: []int{29, 34}, Slopes: sl, BT: 2, Big: []int{8 * sl[0], 10 * sl[1]}, Merge: true}
-				if err := RunPipeline2D(g, p, 7, &cfg, pool, m); err != nil {
+				if err := Run2D(g, p, mustSchedule(t, &cfg, 7), pool, m, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
 				if err := naive.RunPipeline2D(ref, p, 7, nil, m); err != nil {
@@ -414,7 +415,7 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill3D(g, 23)
 				ref := g.Clone()
 				cfg := Config{N: []int{11, 12, 13}, Slopes: sl, BT: 1, Big: []int{4 * sl[0], 4 * sl[1], 5 * sl[2]}, Merge: true}
-				if err := RunPipeline3D(g, p, 5, &cfg, pool, m); err != nil {
+				if err := Run3D(g, p, mustSchedule(t, &cfg, 5), pool, m, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
 				if err := naive.RunPipeline3D(ref, p, 5, nil, m); err != nil {
@@ -425,33 +426,6 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRunPipelineRejectsBadArguments(t *testing.T) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	p := rk2ish(stencil.Heat1D) // compound slope 2
-	cfg := Config{N: []int{40}, Slopes: []int{2}, BT: 2, Big: []int{16}, Merge: true}
-
-	if err := RunPipeline1D(grid.NewGrid1D(40, 1), p, 4, &cfg, pool, nil); err == nil {
-		t.Error("halo 1 with compound slope 2 should fail")
-	}
-	bad := cfg
-	bad.Slopes = []int{1}
-	if err := RunPipeline1D(grid.NewGrid1D(40, 2), p, 4, &bad, pool, nil); err == nil {
-		t.Error("config slopes != compound slopes should fail")
-	}
-	if err := RunPipeline1D(grid.NewGrid1D(40, 2), &stencil.Pipeline{Name: "empty"}, 4, &cfg, pool, nil); err == nil {
-		t.Error("invalid pipeline should fail")
-	}
-	p2 := rk2ish(stencil.Heat2D)
-	if err := RunPipeline1D(grid.NewGrid1D(40, 2), p2, 4, &cfg, pool, nil); err == nil {
-		t.Error("2D pipeline on 1D run should fail")
-	}
-	m, _ := grid.NamedMask("lshape", []int{39})
-	if err := RunPipeline1D(grid.NewGrid1D(40, 2), p, 4, &cfg, pool, m); err == nil {
-		t.Error("mask extent mismatch should fail")
 	}
 }
 
@@ -646,7 +620,7 @@ func FuzzPipelineGeometry(f *testing.F) {
 		g := grid.NewGrid1D(cfg.N[0], sl[0])
 		fill1D(g, seed)
 		ref := g.Clone()
-		if err := RunPipeline1D(g, p, steps, &cfg, pool, m); err != nil {
+		if err := Run1D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
 		if err := naive.RunPipeline1D(ref, p, steps, nil, m); err != nil {
@@ -695,7 +669,7 @@ func FuzzPipelineGeometry2D(f *testing.F) {
 		g := grid.NewGrid2D(cfg.N[0], cfg.N[1], sl[0], sl[1])
 		fill2D(g, seed)
 		ref := g.Clone()
-		if err := RunPipeline2D(g, p, steps, &cfg, pool, m); err != nil {
+		if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
 		if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
@@ -732,7 +706,7 @@ func FuzzPipelineGeometry3D(f *testing.F) {
 		g := grid.NewGrid3D(cfg.N[0], cfg.N[1], cfg.N[2], sl[0], sl[1], sl[2])
 		fill3D(g, seed)
 		ref := g.Clone()
-		if err := RunPipeline3D(g, p, steps, &cfg, pool, m); err != nil {
+		if err := Run3D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
 		if err := naive.RunPipeline3D(ref, p, steps, nil, m); err != nil {

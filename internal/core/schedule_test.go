@@ -33,10 +33,10 @@ func TestRunScheduledMatchesRun(t *testing.T) {
 
 	ref := grid.NewGrid2D(n[0], n[1], 1, 1)
 	seedGrid2D(ref, 42)
-	if err := Run2D(ref, s, steps, &cfg, pool); err != nil {
+	if err := Run2D(ref, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run2D(ref, s, steps, &cfg, pool); err != nil {
+	if err := Run2D(ref, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

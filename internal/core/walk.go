@@ -1,0 +1,125 @@
+package core
+
+import (
+	"sync/atomic"
+
+	"tessellate/internal/grid"
+	"tessellate/internal/par"
+)
+
+// visitor is an executor body. visit runs one block visit of the
+// schedule on lane l, whose lo/hi hold the visit's clipped, non-empty
+// box. par is the parity of the buffer holding the visit's input time
+// level (the output goes to the other one), and n is the box's active
+// point count under a mask (never 0); without one it is the box's
+// volume while telemetry is enabled and 0 otherwise.
+type visitor interface {
+	visit(l *lane, par, n int)
+}
+
+// lane is one pool worker's state for a run: box scratch for the
+// walker and the bodies, the kernel-call tally the walker flushes to
+// telemetry after each work item, and the pipeline body's per-worker
+// buffers. Lanes are allocated once per run, so no visit allocates.
+type lane struct {
+	lo, hi   []int // the visit's clipped box
+	rel, ext []int // a uniform group's hoisted box offset and extent
+	slo, shi []int // a grown stage box (and groupPlan scratch)
+	qlo, qhi []int // a mask segment or row odometer
+
+	calls callTally
+
+	tmp   [][]float64    // materialized intermediate slots
+	strip []float64      // a fused pair's strip
+	bufs  [2][]stageBufs // per input parity, each stage's buffers
+
+	_ [64]byte // keep neighbouring lanes' hot fields off one cache line
+}
+
+// newLanes returns one lane per worker with d-dimensional box scratch.
+func newLanes(workers, d int) []lane {
+	lanes := make([]lane, workers)
+	stride := 8*d + 8 // a cache line apart, like the lanes
+	ints := make([]int, stride*workers)
+	for w := range lanes {
+		s := ints[stride*w:]
+		l := &lanes[w]
+		l.lo, l.hi, l.rel, l.ext = s[:d], s[d:2*d], s[2*d:3*d], s[3*d:4*d]
+		l.slo, l.shi, l.qlo, l.qhi = s[4*d:5*d], s[5*d:6*d], s[6*d:7*d], s[7*d:8*d]
+	}
+	return lanes
+}
+
+// walk is the region loop of every tessellated executor. Per region it
+// checks the stop flag, runs the region's block groups over the pool's
+// sticky mapping, and for each block visit computes the clipped box
+// once — replaying groupPlan's hoisted representative box as a pure
+// origin offset for interior blocks of a uniform group — classifies it
+// against the mask with one CountBox (skipping fully frozen boxes) and
+// calls v. It tallies points and kernel calls into telemetry and
+// advances *step by the schedule's step count once the run completes.
+func walk(sched *Schedule, step *int, pool *par.Pool, lanes []lane, m *grid.Mask, stop *atomic.Bool, v visitor) error {
+	cfg := &sched.cfg
+	pb := *step & 1 // buffer parity: current values live in Buf[pb]
+	for ri := range sched.regions {
+		if stopped(stop) {
+			return ErrStopped
+		}
+		r := &sched.regions[ri]
+		sp := beginRegion()
+		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
+			l := &lanes[wkr]
+			lo, hi, rel, ext := l.lo, l.hi, l.rel, l.ext
+			b0, b1 := r.Span(gi)
+			// Hoisting pays only when a group has blocks to share it.
+			uniform, interior := false, uint64(0)
+			if b1-b0 > 1 {
+				uniform, interior = cfg.groupPlan(r, b0, b1, lo, hi, l.slo, l.shi)
+			}
+			var pts int64
+			for t := r.T0; t < r.T1; t++ {
+				if uniform {
+					// One bounds computation covers the whole group:
+					// every block's box is the same origin offset.
+					rep := &r.Blocks[b0]
+					cfg.Bounds(r, rep, t, lo, hi)
+					empty := false
+					for k := range lo {
+						rel[k], ext[k] = lo[k]-rep.Origin[k], hi[k]-lo[k]
+						empty = empty || ext[k] <= 0
+					}
+					if empty {
+						continue
+					}
+				}
+				for bi := b0; bi < b1; bi++ {
+					b := &r.Blocks[bi]
+					if uniform && interior&(1<<uint(bi-b0)) != 0 {
+						for k := range lo {
+							lo[k] = b.Origin[k] + rel[k]
+							hi[k] = lo[k] + ext[k]
+						}
+					} else if !cfg.ClippedBounds(r, b, t, lo, hi) {
+						continue
+					}
+					n := 0
+					if m != nil {
+						if n = m.CountBox(lo, hi); n == 0 {
+							continue
+						}
+					} else if sp != nil {
+						n = int(boxVolume(lo, hi))
+					}
+					pts += int64(n)
+					v.visit(l, (t+pb)&1, n)
+				}
+			}
+			sp.addPoints(wkr, pts)
+			sp.addKernelCalls(wkr, l.calls.rows, l.calls.blocks, l.calls.simds)
+			l.calls = callTally{}
+		})
+		sp.end(cfg, r, ri)
+	}
+	*step += sched.steps
+	return nil
+}

@@ -9,20 +9,14 @@ import (
 )
 
 // Masked reference runners: the naive schedule restricted to a mask's
-// active points. One kernel call per maximal active run of the
-// unit-stride dimension, resolved through the same process-wide path
-// selector as every other scheme, so the masked tessellated executors
-// are validated bit-for-bit against these for row, block and SIMD
-// kernels alike. Inactive points are never written: they keep their
-// seeded value in both parity buffers (frozen interior Dirichlet
-// cells).
+// active points, i.e. the one-stage pipeline of the spec under the
+// mask (see RunPipeline1D). Inactive points are never written: they
+// keep their seeded value in both parity buffers (frozen interior
+// Dirichlet cells).
 
 // checkMask validates that m covers a grid of interior extents n and
 // finalizes it.
 func checkMask(m *grid.Mask, n []int) error {
-	if m == nil {
-		return fmt.Errorf("naive: nil mask")
-	}
 	if len(m.Dims) != len(n) {
 		return fmt.Errorf("naive: mask rank %d != grid rank %d", len(m.Dims), len(n))
 	}
@@ -37,90 +31,17 @@ func checkMask(m *grid.Mask, n []int) error {
 
 // RunMasked1D advances the active points of g by steps time steps of s.
 func RunMasked1D(g *grid.Grid1D, s *stencil.Spec, steps int, pool *par.Pool, m *grid.Mask) error {
-	if err := checkMask(m, []int{g.N}); err != nil {
-		return err
-	}
-	k, _ := s.Resolve1D(stencil.ActivePath())
-	h := g.H
-	for t := 0; t < steps; t++ {
-		src := g.Buf[g.Step&1]
-		dst := g.Buf[(g.Step+1)&1]
-		for a := 0; ; {
-			ra, rb := m.NextRun(0, a, g.N)
-			if ra >= g.N {
-				break
-			}
-			k(dst, src, ra+h, rb+h)
-			a = rb
-		}
-		g.Step++
-	}
-	return nil
+	return RunPipeline1D(g, stencil.OneStage(s), steps, pool, m)
 }
 
 // RunMasked2D advances the active points of g by steps time steps of s,
 // parallelising over rows.
 func RunMasked2D(g *grid.Grid2D, s *stencil.Spec, steps int, pool *par.Pool, m *grid.Mask) error {
-	if err := checkMask(m, []int{g.NX, g.NY}); err != nil {
-		return err
-	}
-	k, _ := s.Resolve2D(stencil.ActivePath())
-	for t := 0; t < steps; t++ {
-		src := g.Buf[g.Step&1]
-		dst := g.Buf[(g.Step+1)&1]
-		run := func(x int) {
-			for a := 0; ; {
-				ra, rb := m.NextRun(x, a, g.NY)
-				if ra >= g.NY {
-					break
-				}
-				k(dst, src, g.Idx(x, ra), 1, rb-ra, g.SY)
-				a = rb
-			}
-		}
-		if pool == nil {
-			for x := 0; x < g.NX; x++ {
-				run(x)
-			}
-		} else {
-			pool.For(g.NX, run)
-		}
-		g.Step++
-	}
-	return nil
+	return RunPipeline2D(g, stencil.OneStage(s), steps, pool, m)
 }
 
 // RunMasked3D advances the active points of g by steps time steps of s,
 // parallelising over planes.
 func RunMasked3D(g *grid.Grid3D, s *stencil.Spec, steps int, pool *par.Pool, m *grid.Mask) error {
-	if err := checkMask(m, []int{g.NX, g.NY, g.NZ}); err != nil {
-		return err
-	}
-	k, _ := s.Resolve3D(stencil.ActivePath())
-	for t := 0; t < steps; t++ {
-		src := g.Buf[g.Step&1]
-		dst := g.Buf[(g.Step+1)&1]
-		run := func(x int) {
-			for y := 0; y < g.NY; y++ {
-				row := x*g.NY + y
-				for a := 0; ; {
-					ra, rb := m.NextRun(row, a, g.NZ)
-					if ra >= g.NZ {
-						break
-					}
-					k(dst, src, g.Idx(x, y, ra), 1, 1, rb-ra, g.SY, g.SX)
-					a = rb
-				}
-			}
-		}
-		if pool == nil {
-			for x := 0; x < g.NX; x++ {
-				run(x)
-			}
-		} else {
-			pool.For(g.NX, run)
-		}
-		g.Step++
-	}
-	return nil
+	return RunPipeline3D(g, stencil.OneStage(s), steps, pool, m)
 }

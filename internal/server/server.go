@@ -17,6 +17,7 @@ import (
 
 	"tessellate/internal/core"
 	"tessellate/internal/grid"
+	"tessellate/internal/stencil"
 	"tessellate/internal/telemetry"
 )
 
@@ -462,8 +463,8 @@ func (s *Server) run(e *engine, j *job) error {
 		Updates: points * int64(req.Steps),
 	}
 	if j.mask != nil {
-		// Masked jobs update only active points; the mask executors skip
-		// and guard the rest.
+		// Masked jobs update only active points; the executor skips
+		// frozen boxes and runs mixed ones segment by segment.
 		j.res.Updates = int64(j.mask.ActiveCount()) * int64(req.Steps)
 	}
 
@@ -473,17 +474,12 @@ func (s *Server) run(e *engine, j *job) error {
 	sched := j.sched
 
 	if j.spec != nil {
+		pipe := stencil.OneStage(j.spec)
 		switch j.spec.Dims {
 		case 1:
 			g := e.arena.Grid1D(req.N[0], j.spec.Slopes[0])
 			SeedGrid1D(g, req.Kernel, req.Seed, bd)
-			var err error
-			if j.mask != nil {
-				err = core.RunScheduledMasked1DStop(g, j.spec, sched, e.pool, &j.stop, j.mask)
-			} else {
-				err = core.RunScheduled1DStop(g, j.spec, sched, e.pool, &j.stop)
-			}
-			if err != nil {
+			if err := core.Run1D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
 				e.arena.Release(g)
 				return err
 			}
@@ -492,13 +488,7 @@ func (s *Server) run(e *engine, j *job) error {
 		case 2:
 			g := e.arena.Grid2D(req.N[0], req.N[1], j.spec.Slopes[0], j.spec.Slopes[1])
 			SeedGrid2D(g, req.Kernel, req.Seed, bd)
-			var err error
-			if j.mask != nil {
-				err = core.RunScheduledMasked2DStop(g, j.spec, sched, e.pool, &j.stop, j.mask)
-			} else {
-				err = core.RunScheduled2DStop(g, j.spec, sched, e.pool, &j.stop)
-			}
-			if err != nil {
+			if err := core.Run2D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
 				e.arena.Release(g)
 				return err
 			}
@@ -508,13 +498,7 @@ func (s *Server) run(e *engine, j *job) error {
 			g := e.arena.Grid3D(req.N[0], req.N[1], req.N[2],
 				j.spec.Slopes[0], j.spec.Slopes[1], j.spec.Slopes[2])
 			SeedGrid3D(g, req.Kernel, req.Seed, bd)
-			var err error
-			if j.mask != nil {
-				err = core.RunScheduledMasked3DStop(g, j.spec, sched, e.pool, &j.stop, j.mask)
-			} else {
-				err = core.RunScheduled3DStop(g, j.spec, sched, e.pool, &j.stop)
-			}
-			if err != nil {
+			if err := core.Run3D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
 				e.arena.Release(g)
 				return err
 			}
@@ -526,7 +510,7 @@ func (s *Server) run(e *engine, j *job) error {
 
 	g := grid.NewNDGrid(req.N, j.gen.Slopes)
 	SeedGridND(g, req.Kernel, req.Seed, bd)
-	if err := core.RunScheduledNDStop(g, j.gen, sched, e.pool, &j.stop); err != nil {
+	if err := core.RunND(g, j.gen, sched, e.pool, &j.stop); err != nil {
 		return err
 	}
 	j.res.Checksum = ChecksumND(g)

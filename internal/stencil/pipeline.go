@@ -57,6 +57,13 @@ type Pipeline struct {
 	TmpHalo float64
 }
 
+// OneStage returns s as the one-stage pipeline {Spec: s, In: 0}: a
+// plain stencil run is exactly this chain, so executors that take a
+// Pipeline run single specs through it.
+func OneStage(s *Spec) *Pipeline {
+	return &Pipeline{Name: s.Name, Stages: []Stage{{Spec: s}}}
+}
+
 // NumStages returns the stage count.
 func (p *Pipeline) NumStages() int { return len(p.Stages) }
 

@@ -5,6 +5,7 @@ import (
 
 	"tessellate/internal/core"
 	"tessellate/internal/naive"
+	"tessellate/internal/stencil"
 )
 
 // Multi-stage pipelines and masked (irregular) domains ride the same
@@ -47,8 +48,11 @@ func (e *Engine) RunPipeline1D(g *Grid1D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline1D(g, p, steps, e.pool, m)
 	}
-	cfg := tessConfigGeneric([]int{g.N}, slopes, opt)
-	return core.RunPipeline1D(g, p, steps, &cfg, e.pool, m)
+	sched, err := tessSchedule([]int{g.N}, slopes, steps, opt)
+	if err != nil {
+		return err
+	}
+	return core.Run1D(g, p, sched, e.pool, m, nil)
 }
 
 // RunPipeline2D advances a 2D grid by steps logical time steps of the
@@ -62,8 +66,11 @@ func (e *Engine) RunPipeline2D(g *Grid2D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline2D(g, p, steps, e.pool, m)
 	}
-	cfg := tessConfigGeneric([]int{g.NX, g.NY}, slopes, opt)
-	return core.RunPipeline2D(g, p, steps, &cfg, e.pool, m)
+	sched, err := tessSchedule([]int{g.NX, g.NY}, slopes, steps, opt)
+	if err != nil {
+		return err
+	}
+	return core.Run2D(g, p, sched, e.pool, m, nil)
 }
 
 // RunPipeline3D advances a 3D grid by steps logical time steps of the
@@ -77,8 +84,11 @@ func (e *Engine) RunPipeline3D(g *Grid3D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline3D(g, p, steps, e.pool, m)
 	}
-	cfg := tessConfigGeneric([]int{g.NX, g.NY, g.NZ}, slopes, opt)
-	return core.RunPipeline3D(g, p, steps, &cfg, e.pool, m)
+	sched, err := tessSchedule([]int{g.NX, g.NY, g.NZ}, slopes, steps, opt)
+	if err != nil {
+		return err
+	}
+	return core.Run3D(g, p, sched, e.pool, m, nil)
 }
 
 // checkMaskedRun validates the common masked-run arguments.
@@ -105,11 +115,7 @@ func (e *Engine) RunMasked1D(g *Grid1D, s *Stencil, steps int, m *Mask, opt Opti
 	if err := checkMaskedRun(s, m, 1, steps, opt); err != nil {
 		return err
 	}
-	if opt.Scheme == Naive {
-		return naive.RunMasked1D(g, s, steps, e.pool, m)
-	}
-	cfg := tessConfig([]int{g.N}, s, opt)
-	return core.RunMasked1D(g, s, steps, &cfg, e.pool, m)
+	return e.RunPipeline1D(g, stencil.OneStage(s), steps, m, opt)
 }
 
 // RunMasked2D advances the active cells of a masked 2D grid by steps
@@ -119,11 +125,7 @@ func (e *Engine) RunMasked2D(g *Grid2D, s *Stencil, steps int, m *Mask, opt Opti
 	if err := checkMaskedRun(s, m, 2, steps, opt); err != nil {
 		return err
 	}
-	if opt.Scheme == Naive {
-		return naive.RunMasked2D(g, s, steps, e.pool, m)
-	}
-	cfg := tessConfig([]int{g.NX, g.NY}, s, opt)
-	return core.RunMasked2D(g, s, steps, &cfg, e.pool, m)
+	return e.RunPipeline2D(g, stencil.OneStage(s), steps, m, opt)
 }
 
 // RunMasked3D advances the active cells of a masked 3D grid by steps
@@ -133,9 +135,5 @@ func (e *Engine) RunMasked3D(g *Grid3D, s *Stencil, steps int, m *Mask, opt Opti
 	if err := checkMaskedRun(s, m, 3, steps, opt); err != nil {
 		return err
 	}
-	if opt.Scheme == Naive {
-		return naive.RunMasked3D(g, s, steps, e.pool, m)
-	}
-	cfg := tessConfig([]int{g.NX, g.NY, g.NZ}, s, opt)
-	return core.RunMasked3D(g, s, steps, &cfg, e.pool, m)
+	return e.RunPipeline3D(g, stencil.OneStage(s), steps, m, opt)
 }

@@ -311,8 +311,11 @@ func (e *Engine) Run1D(g *Grid1D, s *Stencil, steps int, opt Options) error {
 	n := []int{g.N}
 	switch opt.Scheme {
 	case Tessellation:
-		cfg := tessConfig(n, s, opt)
-		return core.Run1D(g, s, steps, &cfg, e.pool)
+		sched, err := tessSchedule(n, s.Slopes, steps, opt)
+		if err != nil {
+			return err
+		}
+		return core.Run1D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
 	case Naive, SpaceTiled:
 		naive.Run1D(g, s, steps, e.pool)
 		return nil
@@ -340,8 +343,11 @@ func (e *Engine) Run2D(g *Grid2D, s *Stencil, steps int, opt Options) error {
 	n := []int{g.NX, g.NY}
 	switch opt.Scheme {
 	case Tessellation:
-		cfg := tessConfig(n, s, opt)
-		return core.Run2D(g, s, steps, &cfg, e.pool)
+		sched, err := tessSchedule(n, s.Slopes, steps, opt)
+		if err != nil {
+			return err
+		}
+		return core.Run2D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
 	case Naive:
 		naive.Run2D(g, s, steps, e.pool)
 		return nil
@@ -377,8 +383,11 @@ func (e *Engine) Run3D(g *Grid3D, s *Stencil, steps int, opt Options) error {
 	n := []int{g.NX, g.NY, g.NZ}
 	switch opt.Scheme {
 	case Tessellation:
-		cfg := tessConfig(n, s, opt)
-		return core.Run3D(g, s, steps, &cfg, e.pool)
+		sched, err := tessSchedule(n, s.Slopes, steps, opt)
+		if err != nil {
+			return err
+		}
+		return core.Run3D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
 	case Naive:
 		naive.Run3D(g, s, steps, e.pool)
 		return nil
@@ -412,11 +421,15 @@ func (e *Engine) RunND(g *NDGrid, s *GenericStencil, steps int, opt Options) err
 	if opt.Scheme != Tessellation {
 		return fmt.Errorf("tessellate: only the tessellation scheme supports ND grids")
 	}
-	cfg := tessConfigGeneric(g.Dims, s.Slopes, opt)
 	if opt.Periodic {
+		cfg := tessConfigGeneric(g.Dims, s.Slopes, opt)
 		return core.RunNDPeriodic(g, s, steps, &cfg, e.pool)
 	}
-	return core.RunND(g, s, steps, &cfg, e.pool)
+	sched, err := tessSchedule(g.Dims, s.Slopes, steps, opt)
+	if err != nil {
+		return err
+	}
+	return core.RunND(g, s, sched, e.pool, nil)
 }
 
 // Adaptive runs: a long-running engine can re-tune its tile
@@ -461,7 +474,9 @@ func (e *Engine) RunAdaptive1D(g *Grid1D, s *Stencil, steps int, opt Options, rt
 	}
 	n := []int{g.N}
 	cfg := tessConfig(n, s, opt)
-	return core.RunPhased1D(g, s, steps, &cfg, e.pool, phasesOf(rt), adaptiveHook(n, s, steps, rt))
+	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
+		return core.Run1D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
+	})
 }
 
 // RunAdaptive2D is Run2D with mid-flight re-tuning; only the
@@ -472,7 +487,9 @@ func (e *Engine) RunAdaptive2D(g *Grid2D, s *Stencil, steps int, opt Options, rt
 	}
 	n := []int{g.NX, g.NY}
 	cfg := tessConfig(n, s, opt)
-	return core.RunPhased2D(g, s, steps, &cfg, e.pool, phasesOf(rt), adaptiveHook(n, s, steps, rt))
+	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
+		return core.Run2D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
+	})
 }
 
 // RunAdaptive3D is Run3D with mid-flight re-tuning; only the
@@ -483,7 +500,9 @@ func (e *Engine) RunAdaptive3D(g *Grid3D, s *Stencil, steps int, opt Options, rt
 	}
 	n := []int{g.NX, g.NY, g.NZ}
 	cfg := tessConfig(n, s, opt)
-	return core.RunPhased3D(g, s, steps, &cfg, e.pool, phasesOf(rt), adaptiveHook(n, s, steps, rt))
+	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
+		return core.Run3D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
+	})
 }
 
 func checkAdaptive(s *Stencil, dims, steps int, opt Options) error {
@@ -585,6 +604,14 @@ func ServeTelemetry(addr string) (*TelemetryServer, error) {
 		return nil, err
 	}
 	return &TelemetryServer{s: s}, nil
+}
+
+// tessSchedule builds the tessellation schedule advancing a domain of
+// extents n at the given slopes by steps steps under opt (validating
+// the tiling exactly as a config-driven run would).
+func tessSchedule(n, slopes []int, steps int, opt Options) (*core.Schedule, error) {
+	cfg := tessConfigGeneric(n, slopes, opt)
+	return core.NewSchedule(&cfg, steps)
 }
 
 // tessConfig builds a core.Config from Options for a benchmark spec.
