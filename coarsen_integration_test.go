@@ -214,7 +214,7 @@ func TestMidRunCoarseningRetuneBitwiseIdentical(t *testing.T) {
 
 	// The boundary must report the coarsening the segment ran with:
 	// after the first re-tile to {8}, the next boundary sees it.
-	probe := &coarsenProbeRetuner{}
+	probe := &probeRetuner{}
 	g2 := base.Clone()
 	if err := eng.RunAdaptive2D(g2, Heat2D, steps, Options{
 		Scheme: Tessellation, TimeTile: 3, Block: []int{12, 16}, CoarsenPerStage: []int{5, 2},
@@ -224,9 +224,9 @@ func TestMidRunCoarseningRetuneBitwiseIdentical(t *testing.T) {
 	if len(probe.seen) == 0 {
 		t.Fatal("probe retuner was never consulted")
 	}
-	for _, per := range probe.seen {
-		if len(per) != 2 || per[0] != 5 || per[1] != 2 {
-			t.Fatalf("boundary reported CoarsenPerStage %v, want [5 2]", per)
+	for _, o := range probe.seen {
+		if per := o.CoarsenPerStage; len(per) != 2 || per[0] != 5 || per[1] != 2 {
+			t.Fatalf("boundary reported CoarsenPerStage %v, want [5 2]", o.CoarsenPerStage)
 		}
 	}
 	if r := verify.Grids2D(g2, ref); !r.Equal {
@@ -234,13 +234,13 @@ func TestMidRunCoarseningRetuneBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// coarsenProbeRetuner records the coarsening vector each boundary
-// reports without ever re-tiling.
-type coarsenProbeRetuner struct{ seen [][]int }
+// probeRetuner records the tiling each boundary reports without ever
+// re-tiling.
+type probeRetuner struct{ seen []Options }
 
-func (r *coarsenProbeRetuner) Phases() int { return 1 }
+func (r *probeRetuner) Phases() int { return 1 }
 
-func (r *coarsenProbeRetuner) Retune(b PhaseBoundary) (Options, bool) {
-	r.seen = append(r.seen, b.Options.CoarsenPerStage)
+func (r *probeRetuner) Retune(b PhaseBoundary) (Options, bool) {
+	r.seen = append(r.seen, b.Options)
 	return Options{}, false
 }

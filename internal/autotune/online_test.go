@@ -8,18 +8,19 @@ import (
 	"tessellate/internal/telemetry"
 )
 
-// spinSink defeats dead-code elimination of the busy-loop below.
-var spinSink float64
-
 // spin burns a deterministic amount of CPU; unlike time.Sleep it is
 // immune to timer-resolution rounding, so the injected slowdown is
-// proportional to the work done.
+// proportional to the work done. The engine's workers call it
+// concurrently, so the sum stays local: the branch on it keeps the
+// loop from being eliminated without a shared write.
 func spin(n int) {
 	x := 0.0
 	for i := 0; i < n; i++ {
 		x += float64(i & 7)
 	}
-	spinSink += x
+	if x < 0 {
+		panic("spin: negative sum")
+	}
 }
 
 // flipAfter wraps a Retuner and flips the slow flag once the given

@@ -22,7 +22,7 @@ import "fmt"
 
 // Config parametrises a tessellation of a d-dimensional iteration
 // space. The zero value is invalid; fill every field (or use
-// DefaultConfig) and call Validate.
+// NewConfig or DefaultConfig) and call Validate.
 type Config struct {
 	// N is the spatial domain extent per dimension (len(N) == d).
 	N []int
@@ -47,32 +47,54 @@ type Config struct {
 }
 
 // DefaultConfig returns a reasonable configuration for the given
-// domain and slopes: BT near 16 (halved until a few blocks fit per
-// dimension), Big at 8*BT*slope, and the unit-stride dimension
-// coarsened to twice that (the §4.2 asymmetric blocking, e.g. 128x256
-// at BT=16). Empirically this beats the naive sweep on grids larger
-// than the private caches; serious runs should still tune Big/BT.
+// domain and slopes: NewConfig with every tiling choice left to it.
+// Empirically this beats the naive sweep on grids larger than the
+// private caches; serious runs should still tune Big/BT.
 func DefaultConfig(n, slopes []int) Config {
+	return NewConfig(n, slopes, 0, nil, false, nil)
+}
+
+// NewConfig builds the configuration for the given domain and slopes
+// from the user-facing tiling choices. bt < 1 picks BT near 16, halved
+// until a few blocks fit per dimension. A block with one entry per
+// dimension sets Big; otherwise Big takes the §4.2 shape at that BT:
+// 8*BT*slope, with the unit-stride dimension coarsened to twice that
+// (e.g. 128x256 for heat-2d at BT=16), each clamped to the domain.
+// Short unit-stride rows cost the kernel more per point than long
+// ones, so the shape holds whether or not BT was given. noMerge
+// turns off the §4.3 merging; a non-empty coarsen is the dispatch
+// coarsening vector. The result is not validated.
+func NewConfig(n, slopes []int, bt int, block []int, noMerge bool, coarsen []int) Config {
 	d := len(n)
-	bt := 16
-	for k, nk := range n {
-		// Keep at least a couple of blocks per dimension.
-		for bt > 1 && 4*bt*slopes[k] > nk {
-			bt /= 2
+	if bt < 1 {
+		bt = 16
+		for k, nk := range n {
+			// Keep at least a couple of blocks per dimension.
+			for bt > 1 && 4*bt*slopes[k] > nk {
+				bt /= 2
+			}
 		}
 	}
 	big := make([]int, d)
-	for k := range n {
-		f := 8
-		if k == d-1 && d > 1 {
-			f = 16 // coarsen the unit-stride dimension
-		}
-		big[k] = f * bt * slopes[k]
-		if big[k] > n[k] {
-			big[k] = maxOf(2*bt*slopes[k], n[k]-n[k]%2)
+	if len(block) == d {
+		copy(big, block)
+	} else {
+		for k := range n {
+			f := 8
+			if k == d-1 && d > 1 {
+				f = 16 // coarsen the unit-stride dimension
+			}
+			big[k] = f * bt * slopes[k]
+			if big[k] > n[k] {
+				big[k] = maxOf(2*bt*slopes[k], n[k]-n[k]%2)
+			}
 		}
 	}
-	return Config{N: append([]int(nil), n...), Slopes: append([]int(nil), slopes...), BT: bt, Big: big, Merge: true}
+	cfg := Config{N: append([]int(nil), n...), Slopes: append([]int(nil), slopes...), BT: bt, Big: big, Merge: !noMerge}
+	if len(coarsen) > 0 {
+		cfg.Coarsen = Coarsening{PerStage: append([]int(nil), coarsen...)}
+	}
+	return cfg
 }
 
 func maxOf(a, b int) int {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"reflect"
 	"testing"
 )
 
@@ -148,5 +149,58 @@ func TestDefaultConfigAlwaysValid(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("DefaultConfig(%v, %v) invalid: %v", n, slopes, err)
 		}
+	}
+}
+
+// TestNewConfigTileShape pins the one Options→Config rule the Engine
+// and the server share: with TimeTile alone, Big is the §4.2 shape
+// 8·BT·slope with the unit-stride dimension at 16·BT·slope, clamped
+// to the domain; an explicit Block, NoMerge and coarsening win.
+func TestNewConfigTileShape(t *testing.T) {
+	cases := []struct {
+		n, slopes []int
+		bt        int
+		block     []int
+		noMerge   bool
+		coarsen   []int
+		wantBT    int
+		wantBig   []int
+	}{
+		{n: []int{1000}, slopes: []int{1}, bt: 4, wantBT: 4, wantBig: []int{32}},
+		{n: []int{1024, 1024}, slopes: []int{2, 2}, bt: 8, wantBT: 8, wantBig: []int{128, 256}},
+		{n: []int{40, 40}, slopes: []int{1, 1}, bt: 4, wantBT: 4, wantBig: []int{32, 40}},
+		{n: []int{41, 25}, slopes: []int{1, 1}, bt: 4, wantBT: 4, wantBig: []int{32, 24}},
+		{n: []int{10, 10}, slopes: []int{1, 1}, bt: 8, wantBT: 8, wantBig: []int{16, 16}},
+		{n: []int{64, 64, 64}, slopes: []int{1, 1, 1}, bt: 2, wantBT: 2, wantBig: []int{16, 16, 32}},
+		{n: []int{16, 16, 16}, slopes: []int{1, 1, 1}, bt: 2, wantBT: 2, wantBig: []int{16, 16, 16}},
+		{n: []int{100, 100}, slopes: []int{1, 1}, wantBT: 16, wantBig: []int{100, 100}},
+		{n: []int{64, 64}, slopes: []int{1, 1}, bt: 4, block: []int{10, 12}, wantBT: 4, wantBig: []int{10, 12}},
+		{n: []int{64, 64}, slopes: []int{1, 1}, block: []int{40, 48}, wantBT: 16, wantBig: []int{40, 48}},
+		{n: []int{64, 64}, slopes: []int{1, 1}, bt: 2, block: []int{10}, wantBT: 2, wantBig: []int{16, 32}},
+		{n: []int{64, 64}, slopes: []int{1, 1}, bt: 2, noMerge: true, coarsen: []int{2, 1, 3}, wantBT: 2, wantBig: []int{16, 32}},
+	}
+	for _, c := range cases {
+		cfg := NewConfig(c.n, c.slopes, c.bt, c.block, c.noMerge, c.coarsen)
+		want := Config{N: c.n, Slopes: c.slopes, BT: c.wantBT, Big: c.wantBig, Merge: !c.noMerge}
+		if c.coarsen != nil {
+			want.Coarsen = Coarsening{PerStage: c.coarsen}
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("NewConfig(%v, %v, bt=%d, block=%v, noMerge=%v, coarsen=%v) = %+v, want %+v",
+				c.n, c.slopes, c.bt, c.block, c.noMerge, c.coarsen, cfg, want)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("NewConfig(%v, %v, bt=%d, block=%v) invalid: %v", c.n, c.slopes, c.bt, c.block, err)
+		}
+		if c.bt == 0 && c.block == nil && !reflect.DeepEqual(DefaultConfig(c.n, c.slopes), cfg) {
+			t.Errorf("DefaultConfig(%v, %v) != NewConfig with nothing set", c.n, c.slopes)
+		}
+	}
+	// The config owns its slices.
+	block, coarsen := []int{10, 12}, []int{2}
+	cfg := NewConfig([]int{64, 64}, []int{1, 1}, 4, block, false, coarsen)
+	block[0], coarsen[0] = 99, 99
+	if cfg.Big[0] != 10 || cfg.Coarsen.PerStage[0] != 2 {
+		t.Fatalf("NewConfig aliases its inputs: Big=%v Coarsen=%v", cfg.Big, cfg.Coarsen.PerStage)
 	}
 }

@@ -57,21 +57,25 @@ func testConfig(nx, ny int) *core.Config {
 }
 
 func TestDistributedMatchesSingleRank(t *testing.T) {
-	for _, nranks := range []int{1, 2, 3, 4} {
-		for _, spec := range []*stencil.Spec{stencil.Heat2D, stencil.Box2D9} {
-			nx, ny := 96, 40
-			cfg := testConfig(nx, ny)
-			initial := grid.NewGrid2D(nx, ny, 1, 1)
-			rng := rand.New(rand.NewSource(int64(nranks)))
-			initial.Fill(func(x, y int) float64 { return rng.Float64() })
-			initial.SetBoundary(0.5)
+	// 1030-wide rows get a padded stride, so the exchange's row
+	// packing must follow the grid's SY rather than its width.
+	for _, shape := range [][2]int{{96, 40}, {48, 1030}} {
+		nx, ny := shape[0], shape[1]
+		for _, nranks := range []int{1, 2, 3, 4} {
+			for _, spec := range []*stencil.Spec{stencil.Heat2D, stencil.Box2D9} {
+				cfg := testConfig(nx, ny)
+				initial := grid.NewGrid2D(nx, ny, 1, 1)
+				rng := rand.New(rand.NewSource(int64(nranks)))
+				initial.Fill(func(x, y int) float64 { return rng.Float64() })
+				initial.SetBoundary(0.5)
 
-			ref := initial.Clone()
-			naive.Run2D(ref, spec, 10, nil)
+				ref := initial.Clone()
+				naive.Run2D(ref, spec, 10, nil)
 
-			got := runCluster(t, LocalCluster(nranks), cfg, spec, initial, 10)
-			if r := verify.Grids2D(got, ref); !r.Equal {
-				t.Fatalf("nranks=%d %s: %v", nranks, spec.Name, r.Error("distributed"))
+				got := runCluster(t, LocalCluster(nranks), cfg, spec, initial, 10)
+				if r := verify.Grids2D(got, ref); !r.Equal {
+					t.Fatalf("%dx%d nranks=%d %s: %v", nx, ny, nranks, spec.Name, r.Error("distributed"))
+				}
 			}
 		}
 	}

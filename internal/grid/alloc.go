@@ -66,11 +66,7 @@ func NewGrid1DParallel(n, h int, pfor ParallelFor) *Grid1D {
 // NewGrid2DParallel is NewGrid2D with first-touch buffer placement
 // under pfor's worker mapping (nil pfor = plain allocation).
 func NewGrid2DParallel(nx, ny, hx, hy int, pfor ParallelFor) *Grid2D {
-	if nx <= 0 || ny <= 0 || hx < 0 || hy < 0 {
-		panic(fmt.Sprintf("grid: invalid Grid2D size nx=%d ny=%d hx=%d hy=%d", nx, ny, hx, hy))
-	}
-	g := &Grid2D{NX: nx, NY: ny, HX: hx, HY: hy, SY: ny + 2*hy}
-	total := (nx + 2*hx) * g.SY
+	g, total := layout2D(nx, ny, hx, hy)
 	g.Buf[0] = AllocParallel(total, pfor)
 	g.Buf[1] = AllocParallel(total, pfor)
 	return g
@@ -79,13 +75,7 @@ func NewGrid2DParallel(nx, ny, hx, hy int, pfor ParallelFor) *Grid2D {
 // NewGrid3DParallel is NewGrid3D with first-touch buffer placement
 // under pfor's worker mapping (nil pfor = plain allocation).
 func NewGrid3DParallel(nx, ny, nz, hx, hy, hz int, pfor ParallelFor) *Grid3D {
-	if nx <= 0 || ny <= 0 || nz <= 0 || hx < 0 || hy < 0 || hz < 0 {
-		panic(fmt.Sprintf("grid: invalid Grid3D size %dx%dx%d halo %d,%d,%d", nx, ny, nz, hx, hy, hz))
-	}
-	g := &Grid3D{NX: nx, NY: ny, NZ: nz, HX: hx, HY: hy, HZ: hz}
-	g.SY = nz + 2*hz
-	g.SX = (ny + 2*hy) * g.SY
-	total := (nx + 2*hx) * g.SX
+	g, total := layout3D(nx, ny, nz, hx, hy, hz)
 	g.Buf[0] = AllocParallel(total, pfor)
 	g.Buf[1] = AllocParallel(total, pfor)
 	return g

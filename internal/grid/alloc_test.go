@@ -49,9 +49,19 @@ func TestParallelConstructorsMatchPlain(t *testing.T) {
 	if len(p1.Buf[0]) != len(g1.Buf[0]) || p1.N != g1.N || p1.H != g1.H {
 		t.Fatal("Grid1D shape mismatch")
 	}
-	p2, g2 := NewGrid2DParallel(40, 50, 1, 2, serialFor), NewGrid2D(40, 50, 1, 2)
-	if len(p2.Buf[1]) != len(g2.Buf[1]) || p2.SY != g2.SY {
-		t.Fatal("Grid2D shape mismatch")
+	a := NewArena(nil, 4, 0)
+	// 1030 wide rows are padded, 50 wide ones are not; every 2D
+	// constructor must lay both out the same way.
+	for _, ny := range []int{50, 1030} {
+		g2 := NewGrid2D(40, ny, 1, 2)
+		for name, o := range map[string]*Grid2D{
+			"parallel": NewGrid2DParallel(40, ny, 1, 2, serialFor),
+			"arena":    a.Grid2D(40, ny, 1, 2),
+		} {
+			if len(o.Buf[0]) != len(g2.Buf[0]) || len(o.Buf[1]) != len(g2.Buf[1]) || o.SY != g2.SY {
+				t.Fatalf("Grid2D ny=%d %s: SY=%d len=%d, plain SY=%d len=%d", ny, name, o.SY, len(o.Buf[0]), g2.SY, len(g2.Buf[0]))
+			}
+		}
 	}
 	p3, g3 := NewGrid3DParallel(10, 12, 14, 1, 1, 1, serialFor), NewGrid3D(10, 12, 14, 1, 1, 1)
 	if len(p3.Buf[0]) != len(g3.Buf[0]) || p3.SX != g3.SX || p3.SY != g3.SY {

@@ -150,14 +150,11 @@ func (a *Arena) Grid1D(n, h int) *Grid1D {
 	return g
 }
 
-// Grid2D checks out a 2D grid of the given shape. Contents are
+// Grid2D checks out a 2D grid of the given shape, laid out as
+// NewGrid2D lays it out. Contents, row padding included, are
 // undefined; Step is 0.
 func (a *Arena) Grid2D(nx, ny, hx, hy int) *Grid2D {
-	if nx <= 0 || ny <= 0 || hx < 0 || hy < 0 {
-		panic("grid: invalid Grid2D size")
-	}
-	g := &Grid2D{NX: nx, NY: ny, HX: hx, HY: hy, SY: ny + 2*hy}
-	total := (nx + 2*hx) * g.SY
+	g, total := layout2D(nx, ny, hx, hy)
 	g.Buf[0] = a.buffer(total)
 	g.Buf[1] = a.buffer(total)
 	return g
@@ -166,13 +163,7 @@ func (a *Arena) Grid2D(nx, ny, hx, hy int) *Grid2D {
 // Grid3D checks out a 3D grid of the given shape. Contents are
 // undefined; Step is 0.
 func (a *Arena) Grid3D(nx, ny, nz, hx, hy, hz int) *Grid3D {
-	if nx <= 0 || ny <= 0 || nz <= 0 || hx < 0 || hy < 0 || hz < 0 {
-		panic("grid: invalid Grid3D size")
-	}
-	g := &Grid3D{NX: nx, NY: ny, NZ: nz, HX: hx, HY: hy, HZ: hz}
-	g.SY = nz + 2*hz
-	g.SX = (ny + 2*hy) * g.SY
-	total := (nx + 2*hx) * g.SX
+	g, total := layout3D(nx, ny, nz, hx, hy, hz)
 	g.Buf[0] = a.buffer(total)
 	g.Buf[1] = a.buffer(total)
 	return g

@@ -82,7 +82,9 @@ func (g *Grid1D) Clone() *Grid1D {
 // Grid2D is a double-buffered 2D grid of NX x NY interior points with
 // halos HX, HY. Row-major: the unit-stride dimension is y, matching the
 // paper's loop nests (x outer, y inner). Point (x, y) lives at flat
-// position (x+HX)*SY + (y+HY) where SY = NY + 2*HY.
+// position (x+HX)*SY + (y+HY). SY is at least NY + 2*HY and may exceed
+// it (see rowStride): the cells past a row's halo are padding that no
+// run reads or writes, and they stay zero in freshly allocated grids.
 type Grid2D struct {
 	NX, NY int
 	HX, HY int
@@ -93,14 +95,62 @@ type Grid2D struct {
 
 // NewGrid2D allocates a 2D grid; panics on non-positive sizes.
 func NewGrid2D(nx, ny, hx, hy int) *Grid2D {
-	if nx <= 0 || ny <= 0 || hx < 0 || hy < 0 {
-		panic(fmt.Sprintf("grid: invalid Grid2D size nx=%d ny=%d hx=%d hy=%d", nx, ny, hx, hy))
-	}
-	g := &Grid2D{NX: nx, NY: ny, HX: hx, HY: hy, SY: ny + 2*hy}
-	total := (nx + 2*hx) * g.SY
+	g, total := layout2D(nx, ny, hx, hy)
 	g.Buf[0] = make([]float64, total)
 	g.Buf[1] = make([]float64, total)
 	return g
+}
+
+// layout2D checks a 2D shape and returns its buffer-less grid header
+// and buffer length; every 2D constructor shares it, so all of them
+// agree on the layout.
+func layout2D(nx, ny, hx, hy int) (*Grid2D, int) {
+	if nx <= 0 || ny <= 0 || hx < 0 || hy < 0 {
+		panic(fmt.Sprintf("grid: invalid Grid2D size nx=%d ny=%d hx=%d hy=%d", nx, ny, hx, hy))
+	}
+	g := &Grid2D{NX: nx, NY: ny, HX: hx, HY: hy, SY: rowStride(ny + 2*hy)}
+	return g, (nx + 2*hx) * g.SY
+}
+
+// Row-stride padding: a stride that puts one of the next aliasRows
+// rows within aliasBytes of a multiple of pageBytes maps a block's
+// rows onto the same few L1 sets, so a kernel sweeping a tile of
+// consecutive rows evicts its own neighbours: on a 2-vCPU Xeon a hot
+// 64x44 heat-2d box costs the simd kernel 1.05 ns/pt at stride 1028
+// and 0.60 ns/pt at stride 1040 (DESIGN.md §3, grid layout).
+const (
+	pageBytes  = 4096
+	aliasBytes = 128
+	aliasRows  = 4
+)
+
+// rowStride returns the 2D row stride, in cells, for rows of w cells
+// (interior plus halos). Rows shorter than pageBytes are kept as they
+// are (padding them measured no faster on small serving grids); longer
+// rows grow to the first stride whose next aliasRows row offsets all
+// stay at least aliasBytes away from a multiple of pageBytes (1028
+// becomes 1040).
+func rowStride(w int) int {
+	if 8*w < pageBytes {
+		return w
+	}
+	for sy := w; ; sy++ {
+		if !aliases(sy) {
+			return sy
+		}
+	}
+}
+
+// aliases reports whether one of the next aliasRows rows at stride sy
+// starts within aliasBytes of a multiple of pageBytes.
+func aliases(sy int) bool {
+	for j := 1; j <= aliasRows; j++ {
+		off := 8 * sy * j % pageBytes
+		if off < aliasBytes || pageBytes-off < aliasBytes {
+			return true
+		}
+	}
+	return false
 }
 
 // Idx returns the flat index of interior point (x, y).
@@ -151,7 +201,9 @@ func (g *Grid2D) Clone() *Grid2D {
 // Grid3D is a double-buffered 3D grid of NX x NY x NZ interior points.
 // Layout: z is unit-stride; point (x, y, z) lives at
 // (x+HX)*SX + (y+HY)*SY + (z+HZ), with SY = NZ+2*HZ and
-// SX = (NY+2*HY)*SY.
+// SX = (NY+2*HY)*SY. Unlike Grid2D, rows are never padded: padding
+// them measured slower on heat-3d, where each region's cold first
+// step got slower (DESIGN.md §3).
 type Grid3D struct {
 	NX, NY, NZ int
 	HX, HY, HZ int
@@ -162,16 +214,21 @@ type Grid3D struct {
 
 // NewGrid3D allocates a 3D grid; panics on non-positive sizes.
 func NewGrid3D(nx, ny, nz, hx, hy, hz int) *Grid3D {
+	g, total := layout3D(nx, ny, nz, hx, hy, hz)
+	g.Buf[0] = make([]float64, total)
+	g.Buf[1] = make([]float64, total)
+	return g
+}
+
+// layout3D is layout2D for 3D grids.
+func layout3D(nx, ny, nz, hx, hy, hz int) (*Grid3D, int) {
 	if nx <= 0 || ny <= 0 || nz <= 0 || hx < 0 || hy < 0 || hz < 0 {
 		panic(fmt.Sprintf("grid: invalid Grid3D size %dx%dx%d halo %d,%d,%d", nx, ny, nz, hx, hy, hz))
 	}
 	g := &Grid3D{NX: nx, NY: ny, NZ: nz, HX: hx, HY: hy, HZ: hz}
 	g.SY = nz + 2*hz
 	g.SX = (ny + 2*hy) * g.SY
-	total := (nx + 2*hx) * g.SX
-	g.Buf[0] = make([]float64, total)
-	g.Buf[1] = make([]float64, total)
-	return g
+	return g, (nx + 2*hx) * g.SX
 }
 
 // Idx returns the flat index of interior point (x, y, z).

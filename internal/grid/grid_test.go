@@ -49,6 +49,58 @@ func TestGrid2DIdxRowMajor(t *testing.T) {
 	}
 }
 
+// Row strides: rows under 4 KiB keep the dense stride; longer rows are
+// padded until none of the next four rows starts within 128 B of a
+// multiple of 4 KiB, by less than 256 B.
+func TestGrid2DRowStride(t *testing.T) {
+	for ny := 1; ny <= 4100; ny++ {
+		for _, hy := range []int{1, 2} {
+			w := ny + 2*hy
+			g, total := layout2D(3, ny, 1, hy)
+			if g.SY < w || total != 5*g.SY {
+				t.Fatalf("ny=%d hy=%d: SY=%d total=%d, row holds %d cells", ny, hy, g.SY, total, w)
+			}
+			if 8*w < 4096 {
+				if g.SY != w {
+					t.Fatalf("ny=%d hy=%d: short row padded to SY=%d, want %d", ny, hy, g.SY, w)
+				}
+				continue
+			}
+			if g.SY-w >= 32 {
+				t.Fatalf("ny=%d hy=%d: SY=%d pads %d cells", ny, hy, g.SY, g.SY-w)
+			}
+			for j := 1; j <= 4; j++ {
+				if off := 8 * g.SY * j % 4096; off < 128 || off > 4096-128 {
+					t.Fatalf("ny=%d hy=%d: SY=%d puts row +%d at %d B past a 4 KiB multiple", ny, hy, g.SY, j, off)
+				}
+			}
+		}
+	}
+	// rk2 on a 1024-wide domain: halo 2 gives 1028-cell rows.
+	if g := NewGrid2D(8, 1024, 2, 2); g.SY != 1040 {
+		t.Fatalf("1024 wide, halo 2: SY=%d, want 1040", g.SY)
+	}
+}
+
+// 3D grids keep the dense layout at every width, padded-2D widths
+// included, from every constructor.
+func TestGrid3DStridesDense(t *testing.T) {
+	a := NewArena(nil, 4, 0)
+	for _, s := range [][6]int{{4, 5, 6, 1, 1, 1}, {3, 4, 1026, 1, 1, 1}, {2, 3, 1030, 1, 2, 2}, {2, 2, 4096, 0, 0, 0}} {
+		for name, g := range map[string]*Grid3D{
+			"plain":    NewGrid3D(s[0], s[1], s[2], s[3], s[4], s[5]),
+			"parallel": NewGrid3DParallel(s[0], s[1], s[2], s[3], s[4], s[5], nil),
+			"arena":    a.Grid3D(s[0], s[1], s[2], s[3], s[4], s[5]),
+		} {
+			sy := s[2] + 2*s[5]
+			sx := (s[1] + 2*s[4]) * sy
+			if g.SY != sy || g.SX != sx || len(g.Buf[0]) != (s[0]+2*s[3])*sx || len(g.Buf[1]) != len(g.Buf[0]) {
+				t.Fatalf("%v %s: SY=%d SX=%d len=%d, want %d %d %d", s, name, g.SY, g.SX, len(g.Buf[0]), sy, sx, (s[0]+2*s[3])*sx)
+			}
+		}
+	}
+}
+
 func TestGrid2DFillAndClone(t *testing.T) {
 	g := NewGrid2D(4, 3, 1, 1)
 	g.Fill(func(x, y int) float64 { return float64(10*x + y) })

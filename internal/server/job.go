@@ -17,7 +17,8 @@ import (
 type JobOptions struct {
 	// TimeTile is the temporal tile height BT (0 = auto).
 	TimeTile int `json:"time_tile,omitempty"`
-	// Block is the per-dimension coarse block size Big (empty = auto).
+	// Block is the per-dimension coarse block size Big (empty = the
+	// §4.2 shape at the resolved BT, core.NewConfig).
 	Block []int `json:"block,omitempty"`
 	// NoMerge disables the §4.3 B_d+B_0 merging.
 	NoMerge bool `json:"no_merge,omitempty"`
@@ -221,7 +222,8 @@ func (s *Server) prepare(j *job) error {
 		}
 		j.mask = m
 	}
-	cfg := jobConfig(j.req.N, slopes, &j.req.Options)
+	o := &j.req.Options
+	cfg := core.NewConfig(j.req.N, slopes, o.TimeTile, o.Block, o.NoMerge, o.CoarsenPerStage)
 	sched, err := s.sched.Get(&cfg, j.req.Steps)
 	if err != nil {
 		return err
@@ -283,26 +285,6 @@ func validateOptions(o *JobOptions, dims int) error {
 		}
 	}
 	return nil
-}
-
-// jobConfig builds the tessellation config for a job, mirroring the
-// facade's option resolution (tessellate.tessConfigGeneric).
-func jobConfig(n, slopes []int, o *JobOptions) core.Config {
-	cfg := core.DefaultConfig(n, slopes)
-	if o.TimeTile > 0 {
-		cfg.BT = o.TimeTile
-		for k := range cfg.Big {
-			cfg.Big[k] = 4 * cfg.BT * slopes[k]
-		}
-	}
-	if len(o.Block) == len(n) {
-		copy(cfg.Big, o.Block)
-	}
-	cfg.Merge = !o.NoMerge
-	if len(o.CoarsenPerStage) > 0 {
-		cfg.Coarsen = core.Coarsening{PerStage: append([]int(nil), o.CoarsenPerStage...)}
-	}
-	return cfg
 }
 
 // boundary resolves the job's halo value.

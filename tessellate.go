@@ -173,12 +173,16 @@ type Options struct {
 	// Scheme selects the tiling algorithm.
 	Scheme Scheme
 	// TimeTile is the temporal tile height (the paper's b / bt). 0
-	// picks a default.
+	// picks a default (for the tessellation: 16, halved until a few
+	// blocks fit per dimension).
 	TimeTile int
 	// Block is the per-dimension spatial block size. Its meaning
 	// follows the scheme: the tessellation coarse size Big, the skewed
 	// tile extent, the diamond waist (first entry), the space tile, or
-	// the oblivious base-case cutoffs. Empty picks defaults.
+	// the oblivious base-case cutoffs. Empty picks defaults; for the
+	// tessellation that is the §4.2 shape at the resolved TimeTile,
+	// 8·TimeTile·slope with the unit-stride dimension at
+	// 16·TimeTile·slope, clamped to the domain (core.NewConfig).
 	Block []int
 	// NoMerge disables the tessellation's B_d+B_0 merging (§4.3);
 	// useful for the ablation study.
@@ -422,7 +426,7 @@ func (e *Engine) RunND(g *NDGrid, s *GenericStencil, steps int, opt Options) err
 		return fmt.Errorf("tessellate: only the tessellation scheme supports ND grids")
 	}
 	if opt.Periodic {
-		cfg := tessConfigGeneric(g.Dims, s.Slopes, opt)
+		cfg := tessConfig(g.Dims, s.Slopes, opt)
 		return core.RunNDPeriodic(g, s, steps, &cfg, e.pool)
 	}
 	sched, err := tessSchedule(g.Dims, s.Slopes, steps, opt)
@@ -473,7 +477,7 @@ func (e *Engine) RunAdaptive1D(g *Grid1D, s *Stencil, steps int, opt Options, rt
 		return err
 	}
 	n := []int{g.N}
-	cfg := tessConfig(n, s, opt)
+	cfg := tessConfig(n, s.Slopes, opt)
 	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
 		return core.Run1D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
 	})
@@ -486,7 +490,7 @@ func (e *Engine) RunAdaptive2D(g *Grid2D, s *Stencil, steps int, opt Options, rt
 		return err
 	}
 	n := []int{g.NX, g.NY}
-	cfg := tessConfig(n, s, opt)
+	cfg := tessConfig(n, s.Slopes, opt)
 	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
 		return core.Run2D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
 	})
@@ -499,7 +503,7 @@ func (e *Engine) RunAdaptive3D(g *Grid3D, s *Stencil, steps int, opt Options, rt
 		return err
 	}
 	n := []int{g.NX, g.NY, g.NZ}
-	cfg := tessConfig(n, s, opt)
+	cfg := tessConfig(n, s.Slopes, opt)
 	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
 		return core.Run3D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
 	})
@@ -548,7 +552,7 @@ func adaptiveHook(n []int, s *Stencil, steps int, rt Retuner) core.PhaseHook {
 			return nil
 		}
 		next.Scheme = Tessellation
-		nc := tessConfig(n, s, next)
+		nc := tessConfig(n, s.Slopes, next)
 		return &nc
 	}
 }
@@ -610,31 +614,14 @@ func ServeTelemetry(addr string) (*TelemetryServer, error) {
 // extents n at the given slopes by steps steps under opt (validating
 // the tiling exactly as a config-driven run would).
 func tessSchedule(n, slopes []int, steps int, opt Options) (*core.Schedule, error) {
-	cfg := tessConfigGeneric(n, slopes, opt)
+	cfg := tessConfig(n, slopes, opt)
 	return core.NewSchedule(&cfg, steps)
 }
 
-// tessConfig builds a core.Config from Options for a benchmark spec.
-func tessConfig(n []int, s *Stencil, opt Options) core.Config {
-	return tessConfigGeneric(n, s.Slopes, opt)
-}
-
-func tessConfigGeneric(n, slopes []int, opt Options) core.Config {
-	cfg := core.DefaultConfig(n, slopes)
-	if opt.TimeTile > 0 {
-		cfg.BT = opt.TimeTile
-		for k := range cfg.Big {
-			cfg.Big[k] = 4 * cfg.BT * slopes[k]
-		}
-	}
-	if len(opt.Block) == len(n) {
-		copy(cfg.Big, opt.Block)
-	}
-	cfg.Merge = !opt.NoMerge
-	if len(opt.CoarsenPerStage) > 0 {
-		cfg.Coarsen = core.Coarsening{PerStage: append([]int(nil), opt.CoarsenPerStage...)}
-	}
-	return cfg
+// tessConfig resolves Options to the tessellation's core.Config
+// (core.NewConfig's tile-shape rule).
+func tessConfig(n, slopes []int, opt Options) core.Config {
+	return core.NewConfig(n, slopes, opt.TimeTile, opt.Block, opt.NoMerge, opt.CoarsenPerStage)
 }
 
 func skewConfig(n []int, s *Stencil, opt Options) skew.Config {

@@ -2,8 +2,10 @@ package tessellate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"tessellate/internal/core"
 	"tessellate/internal/verify"
 )
 
@@ -185,5 +187,55 @@ func TestEngineThreadCount(t *testing.T) {
 	defer def.Close()
 	if def.Threads() < 1 {
 		t.Fatal("default engine has no workers")
+	}
+}
+
+// An Engine run resolves Options through core.NewConfig, the rule the
+// server shares: with TimeTile alone the tiles take the §4.2 shape
+// (clamps included), and explicit Block, NoMerge and CoarsenPerStage
+// win. The adaptive runs report the tiling they ran with at each phase
+// boundary, which is what this observes.
+func TestEngineTileShapeIsCoreRule(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	cases := []struct {
+		n   []int
+		opt Options
+	}{
+		{[]int{1000}, Options{TimeTile: 4}},
+		{[]int{256, 200}, Options{TimeTile: 8}},
+		{[]int{40, 25}, Options{TimeTile: 4}},
+		{[]int{64, 64}, Options{TimeTile: 4, Block: []int{10, 12}}},
+		{[]int{64, 64}, Options{TimeTile: 2, NoMerge: true, CoarsenPerStage: []int{2, 1, 3}}},
+		{[]int{32, 32, 32}, Options{TimeTile: 2}},
+		{[]int{16, 16, 16}, Options{TimeTile: 2}},
+	}
+	for _, c := range cases {
+		probe := &probeRetuner{}
+		steps := 2*c.opt.TimeTile + 1
+		var s *Stencil
+		var err error
+		switch len(c.n) {
+		case 1:
+			s = Heat1D
+			err = eng.RunAdaptive1D(NewGrid1D(c.n[0], 1), s, steps, c.opt, probe)
+		case 2:
+			s = Heat2D
+			err = eng.RunAdaptive2D(NewGrid2D(c.n[0], c.n[1], 1, 1), s, steps, c.opt, probe)
+		default:
+			s = Heat3D
+			err = eng.RunAdaptive3D(NewGrid3D(c.n[0], c.n[1], c.n[2], 1, 1, 1), s, steps, c.opt, probe)
+		}
+		if err != nil {
+			t.Fatalf("%v %+v: %v", c.n, c.opt, err)
+		}
+		if len(probe.seen) == 0 {
+			t.Fatalf("%v %+v: no phase boundary reported", c.n, c.opt)
+		}
+		cfg := core.NewConfig(c.n, s.Slopes, c.opt.TimeTile, c.opt.Block, c.opt.NoMerge, c.opt.CoarsenPerStage)
+		want := Options{TimeTile: cfg.BT, Block: cfg.Big, NoMerge: !cfg.Merge, CoarsenPerStage: cfg.Coarsen.PerStage}
+		if got := probe.seen[0]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%v %+v: Engine ran %+v, core rule gives %+v", c.n, c.opt, got, want)
+		}
 	}
 }
