@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -176,21 +177,27 @@ func TestAdaptiveConvergesFromPessimalSeed(t *testing.T) {
 	}
 
 	// The adopted tiling must be competitive with the offline answer.
-	// Measure it the same way Search measured its winner; retry to
-	// ride out scheduler noise, keeping the best observation.
-	bestRate := 0.0
-	for try := 0; try < 3 && bestRate < 0.85*offline.BestRate; try++ {
-		tr, err := measure(eng, spec, dims, final, 16)
+	// Measure both the same way Search measured its winner, in
+	// interleaved pairs on this engine, so machine noise hits both sides
+	// of each ratio alike; compare the median ratio, not one side's
+	// maximum against the other's noisy search-time peak.
+	const pairs = 7
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		adopted, err := measure(eng, spec, dims, final, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.MUpdates > bestRate {
-			bestRate = tr.MUpdates
+		best, err := measure(eng, spec, dims, offline.Best, 16)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ratios[i] = adopted.MUpdates / best.MUpdates
 	}
-	if bestRate < 0.85*offline.BestRate {
-		t.Fatalf("adaptive run converged to %+v at %.1f MUpd/s, below 85%% of offline best %.1f MUpd/s (%+v)",
-			final, bestRate, offline.BestRate, offline.Best)
+	slices.Sort(ratios)
+	if med := ratios[pairs/2]; med < 0.85 {
+		t.Fatalf("adaptive run converged to %+v at a median %.2f× the offline best %+v, below 0.85× (ratios %.2f)",
+			final, med, offline.Best, ratios)
 	}
 
 	// And the converged run is still exact.

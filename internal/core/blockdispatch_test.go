@@ -101,6 +101,62 @@ func TestBlockDispatchBitwise3D(t *testing.T) {
 	}
 }
 
+// The vector tier runs one whole-box assembly call per visit, with a
+// masked final quad on every row or pencil, while the naive oracle
+// resolves the same tier; this is the executor-level check where the
+// vector kernels meet the row kernels. Heat-3d runs on the Fig 11a
+// tiling (BT 6, Big 24³, merged) over a grid no extent of which is a
+// multiple of four, heat-2d on the §4.2 shape over an odd-sized grid,
+// both on two workers.
+func TestSIMDDispatchMatchesRow3D(t *testing.T) {
+	defer SetKernelPath(KernelPath())
+	pool := par.NewPool(2)
+	defer pool.Close()
+	cfg := Config{N: []int{53, 50, 47}, Slopes: stencil.Heat3D.Slopes, BT: 6, Big: []int{24, 24, 24}, Merge: true}
+	a := grid.NewGrid3D(53, 50, 47, 1, 1, 1)
+	fill3D(a, 46)
+	b := a.Clone()
+	for _, run := range []struct {
+		path string
+		g    *grid.Grid3D
+	}{{"simd", a}, {"row", b}} {
+		if err := SetKernelPath(run.path); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run3D(run.g, stencil.OneStage(stencil.Heat3D), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := verify.Grids3D(a, b); !r.Equal {
+		t.Fatal(r.Error("heat-3d simd-vs-row"))
+	}
+}
+
+func TestSIMDDispatchMatchesRow2D(t *testing.T) {
+	defer SetKernelPath(KernelPath())
+	pool := par.NewPool(2)
+	defer pool.Close()
+	n := []int{203, 157}
+	cfg := NewConfig(n, stencil.Heat2D.Slopes, 8, nil, false, nil)
+	a := grid.NewGrid2D(n[0], n[1], 1, 1)
+	fill2D(a, 47)
+	b := a.Clone()
+	for _, run := range []struct {
+		path string
+		g    *grid.Grid2D
+	}{{"simd", a}, {"row", b}} {
+		if err := SetKernelPath(run.path); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run2D(run.g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 19), pool, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := verify.Grids2D(a, b); !r.Equal {
+		t.Fatal(r.Error("heat-2d simd-vs-row"))
+	}
+}
+
 // The periodic executor's interior fast path (flat offsets, no wrap)
 // must agree bitwise with the always-wrap loop.
 func TestBlockDispatchBitwisePeriodic(t *testing.T) {

@@ -4,9 +4,13 @@ package stencil
 
 import "tessellate/internal/cpu"
 
-// Assembly row primitives (simd_amd64.s). Each processes n points —
-// a positive multiple of 4 — starting at dst/src; neighbour loads use
-// signed offsets from src, so the caller's halo contract covers them.
+// Assembly kernels (simd_amd64.s). Each stencil routine updates a whole
+// box of positive extents whose low corner is at dst/src, running the
+// final partial quad of every row or pencil as a masked quad; neighbour
+// loads use signed offsets from src, so the caller's halo contract
+// covers them. The wrappers below skip empty boxes and bounds-check the
+// box's extreme write and its extreme halo reads, so a malformed call
+// panics instead of touching memory outside the slices.
 //
 //go:noescape
 func avx2Heat1D(dst, src *float64, n int)
@@ -15,16 +19,10 @@ func avx2Heat1D(dst, src *float64, n int)
 func avx2P1D5(dst, src *float64, n int)
 
 //go:noescape
-func avx2Heat2DPair(dst, src *float64, n, sy int)
+func avx2Heat2D(dst, src *float64, nx, ny, sy int)
 
 //go:noescape
-func avx2Heat2DRow(dst, src *float64, n, sy int)
-
-//go:noescape
-func avx2Heat3DPair(dst, src *float64, n, sy, sx int)
-
-//go:noescape
-func avx2Heat3DRow(dst, src *float64, n, sy, sx int)
+func avx2Heat3D(dst, src *float64, nx, ny, nz, sy, sx int)
 
 //go:noescape
 func avx2Blend(dst, a, b *float64, ca, cb float64, n int)
@@ -43,103 +41,33 @@ func init() {
 	Heat3D.S3 = simdHeat3D
 }
 
-// simdHeat1D is heat1DBlock with the 4-wide body in AVX2; the lane
-// remainder (n mod 4) runs the identical scalar expression.
 func simdHeat1D(dst, src []float64, lo, hi int) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	q := n &^ 3
-	if q > 0 {
-		avx2Heat1D(&dst[lo], &src[lo], q)
-	}
-	for i := lo + q; i < hi; i++ {
-		dst[i] = h1e*src[i-1] + h1c*src[i] + h1e*src[i+1]
+	if hi > lo {
+		_, _, _ = dst[hi-1], src[lo-1], src[hi]
+		avx2Heat1D(&dst[lo], &src[lo], hi-lo)
 	}
 }
 
-// simdP1D5 is the order-2 star analogue of simdHeat1D.
 func simdP1D5(dst, src []float64, lo, hi int) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	q := n &^ 3
-	if q > 0 {
-		avx2P1D5(&dst[lo], &src[lo], q)
-	}
-	for i := lo + q; i < hi; i++ {
-		dst[i] = p5c2*src[i-2] + p5c1*src[i-1] + p5c0*src[i] + p5c1*src[i+1] + p5c2*src[i+2]
+	if hi > lo {
+		_, _, _ = dst[hi-1], src[lo-2], src[hi+1]
+		avx2P1D5(&dst[lo], &src[lo], hi-lo)
 	}
 }
 
-// simdHeat2D mirrors heat2DBlock's row pairing — each pair's centre
-// vectors serve as the other row's north/south — with 4-lane
-// arithmetic in the vector body and the block kernel's exact scalar
-// expressions on the lane remainder and odd trailing row.
 func simdHeat2D(dst, src []float64, base, nx, ny, sy int) {
-	if ny <= 0 {
-		return
-	}
-	q := ny &^ 3
-	x := 0
-	for ; x+2 <= nx; x += 2 {
-		b := base + x*sy
-		if q > 0 {
-			avx2Heat2DPair(&dst[b], &src[b], q, sy)
-		}
-		for j := q; j < ny; j++ {
-			i := b + j
-			m0, m1 := src[i], src[i+sy]
-			dst[i] = h2c*m0 + h2e*(src[i-1]+src[i+1]+src[i-sy]+m1)
-			dst[i+sy] = h2c*m1 + h2e*(src[i+sy-1]+src[i+sy+1]+m0+src[i+2*sy])
-		}
-	}
-	if x < nx {
-		b := base + x*sy
-		if q > 0 {
-			avx2Heat2DRow(&dst[b], &src[b], q, sy)
-		}
-		for j := q; j < ny; j++ {
-			i := b + j
-			dst[i] = h2c*src[i] + h2e*(src[i-1]+src[i+1]+src[i-sy]+src[i+sy])
-		}
+	if nx > 0 && ny > 0 {
+		last := base + (nx-1)*sy + ny - 1
+		_, _, _ = dst[last], src[base-sy], src[last+sy]
+		avx2Heat2D(&dst[base], &src[base], nx, ny, sy)
 	}
 }
 
-// simdHeat3D walks planes in x and pairs pencils in y like
-// heat3DBlock, with the 4-lane body along z.
 func simdHeat3D(dst, src []float64, base, nx, ny, nz, sy, sx int) {
-	if nz <= 0 {
-		return
-	}
-	q := nz &^ 3
-	for x := 0; x < nx; x++ {
-		pb := base + x*sx
-		y := 0
-		for ; y+2 <= ny; y += 2 {
-			b := pb + y*sy
-			if q > 0 {
-				avx2Heat3DPair(&dst[b], &src[b], q, sy, sx)
-			}
-			for j := q; j < nz; j++ {
-				i := b + j
-				m0, m1 := src[i], src[i+sy]
-				dst[i] = h3c*m0 + h3e*(src[i-1]+src[i+1]+src[i-sy]+m1+src[i-sx]+src[i+sx])
-				dst[i+sy] = h3c*m1 + h3e*(src[i+sy-1]+src[i+sy+1]+m0+src[i+2*sy]+src[i+sy-sx]+src[i+sy+sx])
-			}
-		}
-		if y < ny {
-			b := pb + y*sy
-			if q > 0 {
-				avx2Heat3DRow(&dst[b], &src[b], q, sy, sx)
-			}
-			for j := q; j < nz; j++ {
-				i := b + j
-				dst[i] = h3c*src[i] + h3e*(src[i-1]+src[i+1]+src[i-sy]+src[i+sy]+src[i-sx]+src[i+sx])
-			}
-		}
+	if nx > 0 && ny > 0 && nz > 0 {
+		last := base + (nx-1)*sx + (ny-1)*sy + nz - 1
+		_, _, _ = dst[last], src[base-sx], src[last+sx]
+		avx2Heat3D(&dst[base], &src[base], nx, ny, nz, sy, sx)
 	}
 }
 

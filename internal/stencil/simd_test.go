@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -14,7 +15,10 @@ import (
 // break fused kernels — empty boxes, 1-wide boxes, boxes flush
 // against the halo, short pencils, and every lane remainder
 // (n mod 4 ∈ 0..3) — on randomized data that includes negative
-// values, denormals and signed zeros.
+// values, denormals and signed zeros. Every output starts from the
+// same non-zero sentinel pattern (sentinels), so a masked store that
+// writes past the box, or a kernel that reads dst, fails the
+// comparison.
 
 // fill populates buf with adversarial float64 values.
 func fill(r *rand.Rand, buf []float64) {
@@ -30,6 +34,16 @@ func fill(r *rand.Rand, buf []float64) {
 			buf[i] = (r.Float64() - 0.5) * 1e3
 		}
 	}
+}
+
+// sentinels returns two equal buffers of n distinct non-zero values,
+// the starting contents of a test's want and got outputs.
+func sentinels(n int) (want, got []float64) {
+	want = make([]float64, n)
+	for i := range want {
+		want[i] = -1e9 - float64(i)
+	}
+	return want, append([]float64(nil), want...)
 }
 
 // bitEqual compares two buffers bitwise, reporting the first diff.
@@ -53,8 +67,7 @@ func TestSIMDHeat1DMatchesBlock(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 100} {
 		src := make([]float64, n+2*h+8)
 		fill(r, src)
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
+		want, got := sentinels(len(src))
 		lo := h
 		Heat1D.K1(want, src, lo, lo+n)
 		Heat1D.S1(got, src, lo, lo+n)
@@ -71,8 +84,7 @@ func TestSIMDP1D5MatchesBlock(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 59, 128} {
 		src := make([]float64, n+2*h+8)
 		fill(r, src)
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
+		want, got := sentinels(len(src))
 		lo := h
 		P1D5.K1(want, src, lo, lo+n)
 		P1D5.S1(got, src, lo, lo+n)
@@ -110,9 +122,8 @@ func TestSIMDHeat2DMatchesBlock(t *testing.T) {
 		cases = append(cases, boxCase2D{nx, ny, h + r.Intn(NX-nx+1), h + r.Intn(NY-ny+1)})
 	}
 	for _, c := range cases {
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
-		blk := make([]float64, len(src))
+		want, got := sentinels(len(src))
+		blk, _ := sentinels(len(src))
 		base := c.x0*sy + c.y0
 		for x := 0; x < c.nx; x++ { // row-path oracle
 			Heat2D.K2(want, src, base+x*sy, c.ny, sy)
@@ -156,9 +167,8 @@ func TestSIMDHeat3DMatchesBlock(t *testing.T) {
 			h + r.Intn(NX-nx+1), h + r.Intn(NY-ny+1), h + r.Intn(NZ-nz+1)})
 	}
 	for _, c := range cases {
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
-		blk := make([]float64, len(src))
+		want, got := sentinels(len(src))
+		blk, _ := sentinels(len(src))
 		base := c.x0*sx + c.y0*sy + c.z0
 		for x := 0; x < c.nx; x++ { // row-path oracle
 			for y := 0; y < c.ny; y++ {
@@ -169,6 +179,98 @@ func TestSIMDHeat3DMatchesBlock(t *testing.T) {
 		Heat3D.S3(got, src, base, c.nx, c.ny, c.nz, sy, sx)
 		bitEqual(t, "heat-3d block-vs-row", want, blk)
 		bitEqual(t, "heat-3d simd-vs-row", want, got)
+	}
+}
+
+// TestSIMDHeat2DSmallBoxes compares the vector kernel bitwise with the
+// row oracle on every box with nx, ny in 1..9, each at all four corners
+// of a 9×9 interior: every row count and lane remainder, flush against
+// the near and the far halo in each dimension.
+func TestSIMDHeat2DSmallBoxes(t *testing.T) {
+	if Heat2D.S2 == nil {
+		t.Skip("no SIMD kernel on this platform")
+	}
+	const h, NX, NY = 1, 9, 9
+	sy := NY + 2*h
+	src := make([]float64, (NX+2*h)*sy)
+	fill(rand.New(rand.NewSource(6)), src)
+	for nx := 1; nx <= NX; nx++ {
+		for ny := 1; ny <= NY; ny++ {
+			for _, x0 := range []int{h, h + NX - nx} {
+				for _, y0 := range []int{h, h + NY - ny} {
+					want, got := sentinels(len(src))
+					base := x0*sy + y0
+					for x := 0; x < nx; x++ {
+						Heat2D.K2(want, src, base+x*sy, ny, sy)
+					}
+					Heat2D.S2(got, src, base, nx, ny, sy)
+					bitEqual(t, fmt.Sprintf("heat-2d %dx%d at (%d,%d)", nx, ny, x0, y0), want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDHeat3DSmallBoxes is the 3D sweep: nx, ny in 1..9 and nz in
+// 1..13, each box at all eight corners of a 9×9×13 interior.
+func TestSIMDHeat3DSmallBoxes(t *testing.T) {
+	if Heat3D.S3 == nil {
+		t.Skip("no SIMD kernel on this platform")
+	}
+	const h, NX, NY, NZ = 1, 9, 9, 13
+	sy := NZ + 2*h
+	sx := (NY + 2*h) * sy
+	src := make([]float64, (NX+2*h)*sx)
+	fill(rand.New(rand.NewSource(7)), src)
+	for nx := 1; nx <= NX; nx++ {
+		for ny := 1; ny <= NY; ny++ {
+			for nz := 1; nz <= NZ; nz++ {
+				for _, x0 := range []int{h, h + NX - nx} {
+					for _, y0 := range []int{h, h + NY - ny} {
+						for _, z0 := range []int{h, h + NZ - nz} {
+							want, got := sentinels(len(src))
+							base := x0*sx + y0*sy + z0
+							for x := 0; x < nx; x++ {
+								for y := 0; y < ny; y++ {
+									Heat3D.K3(want, src, base+x*sx+y*sy, nz, sy, sx)
+								}
+							}
+							Heat3D.S3(got, src, base, nx, ny, nz, sy, sx)
+							bitEqual(t, fmt.Sprintf("heat-3d %dx%dx%d at (%d,%d,%d)", nx, ny, nz, x0, y0, z0), want, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDBoxBoundsChecked pins the wrappers' guard: the assembly does
+// no bounds checks, so a box whose writes or halo reads leave the
+// slices must panic before any memory is touched.
+func TestSIMDBoxBoundsChecked(t *testing.T) {
+	if !SIMDAvailable() {
+		t.Skip("no SIMD kernel on this platform")
+	}
+	buf := make([]float64, 6*6*6)
+	cases := map[string]func(){
+		"heat-1d dst":  func() { Heat1D.S1(buf[:5], buf, 1, 7) },
+		"heat-1d halo": func() { Heat1D.S1(buf, buf[:7], 1, 7) },
+		"1d5p halo":    func() { P1D5.S1(buf, buf, 1, 5) },
+		"heat-2d dst":  func() { Heat2D.S2(buf[:20], buf, 7, 4, 4, 6) },
+		"heat-2d halo": func() { Heat2D.S2(buf, buf[:28], 7, 4, 4, 6) },
+		"heat-3d halo": func() { Heat3D.S3(buf, buf, 7, 4, 4, 4, 6, 36) },
+		"heat-3d dst":  func() { Heat3D.S3(buf, buf, 43, 6, 4, 4, 6, 36) },
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: out-of-range box did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -269,8 +371,7 @@ func FuzzSIMDHeat2D(f *testing.F) {
 		y0 := h + int(yr)%(NY-ny+1)
 		src := make([]float64, (NX+2*h)*sy)
 		fill(rand.New(rand.NewSource(seed)), src)
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
+		want, got := sentinels(len(src))
 		base := x0*sy + y0
 		Heat2D.B2(want, src, base, nx, ny, sy)
 		Heat2D.S2(got, src, base, nx, ny, sy)
@@ -278,11 +379,13 @@ func FuzzSIMDHeat2D(f *testing.F) {
 	})
 }
 
-// FuzzSIMDHeat3D is the 3D analogue, biased toward short pencils.
+// FuzzSIMDHeat3D is the 3D analogue, biased toward short pencils, with
+// the box origin anywhere its extents allow, flush against either halo.
 func FuzzSIMDHeat3D(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(3))
-	f.Add(int64(2), uint8(2), uint8(1), uint8(17))
-	f.Fuzz(func(t *testing.T, seed int64, nxr, nyr, nzr uint8) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1), uint8(17), uint8(6), uint8(7), uint8(3))
+	f.Add(int64(3), uint8(7), uint8(8), uint8(6), uint8(255), uint8(255), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nxr, nyr, nzr, xr, yr, zr uint8) {
 		if Heat3D.S3 == nil {
 			t.Skip("no SIMD kernel on this platform")
 		}
@@ -292,11 +395,13 @@ func FuzzSIMDHeat3D(f *testing.F) {
 		nx := int(nxr)%NX + 1
 		ny := int(nyr)%NY + 1
 		nz := int(nzr)%NZ + 1
+		x0 := h + int(xr)%(NX-nx+1)
+		y0 := h + int(yr)%(NY-ny+1)
+		z0 := h + int(zr)%(NZ-nz+1)
 		src := make([]float64, (NX+2*h)*sx)
 		fill(rand.New(rand.NewSource(seed)), src)
-		want := make([]float64, len(src))
-		got := make([]float64, len(src))
-		base := h*sx + h*sy + h
+		want, got := sentinels(len(src))
+		base := x0*sx + y0*sy + z0
 		Heat3D.B3(want, src, base, nx, ny, nz, sy, sx)
 		Heat3D.S3(got, src, base, nx, ny, nz, sy, sx)
 		bitEqual(t, "fuzz heat-3d", want, got)
