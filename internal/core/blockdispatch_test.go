@@ -137,7 +137,7 @@ func TestSIMDDispatchMatchesRow2D(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	n := []int{203, 157}
-	cfg := NewConfig(n, stencil.Heat2D.Slopes, 8, nil, false, nil)
+	cfg := NewConfig(n, stencil.Heat2D.Slopes, 1, 8, nil, false, nil)
 	a := grid.NewGrid2D(n[0], n[1], 1, 1)
 	fill2D(a, 47)
 	b := a.Clone()

@@ -68,8 +68,8 @@ func TestRun2DPaddedRowsMatchNaive(t *testing.T) {
 		for _, c := range cases {
 			sl := c.p.Slopes()
 			for _, cfg := range []Config{
-				NewConfig([]int{nx, ny}, sl, 2, nil, false, nil),
-				NewConfig([]int{nx, ny}, sl, 2, []int{6 * sl[0], 20 * sl[1]}, true, nil),
+				NewConfig([]int{nx, ny}, sl, c.p.StencilStages(), 2, nil, false, nil),
+				NewConfig([]int{nx, ny}, sl, c.p.StencilStages(), 2, []int{6 * sl[0], 20 * sl[1]}, true, nil),
 			} {
 				what := path + "/" + c.name
 				g := grid.NewGrid2D(nx, ny, sl[0], sl[1])

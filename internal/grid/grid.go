@@ -112,12 +112,12 @@ func layout2D(nx, ny, hx, hy int) (*Grid2D, int) {
 	return g, (nx + 2*hx) * g.SY
 }
 
-// Row-stride padding: a stride that puts one of the next aliasRows
-// rows within aliasBytes of a multiple of pageBytes maps a block's
-// rows onto the same few L1 sets, so a kernel sweeping a tile of
-// consecutive rows evicts its own neighbours: on a 2-vCPU Xeon a hot
-// 64x44 heat-2d box costs the simd kernel 1.05 ns/pt at stride 1028
-// and 0.60 ns/pt at stride 1040 (DESIGN.md §3, grid layout).
+// Row-stride padding: a stride that starts one of the next aliasRows
+// rows within aliasBytes of a non-zero multiple of pageBytes maps a
+// tile's rows onto the same few L1 sets, so a kernel sweeping a tile
+// of consecutive rows evicts its own neighbours: on a 2-vCPU Xeon a
+// hot 64x44 heat-2d box costs the simd kernel 1.05 ns/pt at stride
+// 1028 and 0.60 ns/pt at stride 1040 (DESIGN.md §3, grid layout).
 const (
 	pageBytes  = 4096
 	aliasBytes = 128
@@ -125,28 +125,26 @@ const (
 )
 
 // rowStride returns the 2D row stride, in cells, for rows of w cells
-// (interior plus halos). Rows shorter than pageBytes are kept as they
-// are (padding them measured no faster on small serving grids); longer
-// rows grow to the first stride whose next aliasRows row offsets all
-// stay at least aliasBytes away from a multiple of pageBytes (1028
-// becomes 1040).
+// (interior plus halos): the first stride from w up whose next
+// aliasRows row starts all stay at least aliasBytes away from every
+// non-zero multiple of pageBytes (258 becomes 264, 1028 becomes
+// 1040). Rows so short that four of them stay clear of the first
+// page boundary keep the dense stride.
 func rowStride(w int) int {
-	if 8*w < pageBytes {
-		return w
+	sy := w
+	for aliases(sy) {
+		sy++
 	}
-	for sy := w; ; sy++ {
-		if !aliases(sy) {
-			return sy
-		}
-	}
+	return sy
 }
 
 // aliases reports whether one of the next aliasRows rows at stride sy
-// starts within aliasBytes of a multiple of pageBytes.
+// starts within aliasBytes of a non-zero multiple of pageBytes.
 func aliases(sy int) bool {
 	for j := 1; j <= aliasRows; j++ {
-		off := 8 * sy * j % pageBytes
-		if off < aliasBytes || pageBytes-off < aliasBytes {
+		b := 8 * sy * j
+		off := b % pageBytes
+		if (off < aliasBytes && b >= pageBytes) || pageBytes-off < aliasBytes {
 			return true
 		}
 	}

@@ -36,23 +36,41 @@ func TestGrid1DBoundary(t *testing.T) {
 }
 
 func TestGrid2DIdxRowMajor(t *testing.T) {
-	g := NewGrid2D(3, 5, 1, 2)
-	// y must be unit-stride.
-	if g.Idx(0, 1)-g.Idx(0, 0) != 1 {
-		t.Fatal("y is not unit-stride")
-	}
-	if g.Idx(1, 0)-g.Idx(0, 0) != g.SY {
-		t.Fatal("x stride != SY")
-	}
-	if g.SY != 5+2*2 {
-		t.Fatalf("SY = %d, want 9", g.SY)
+	// A short row keeps the dense stride; a 128-wide one (130 cells
+	// with halos) is padded to 132, since its fourth row would start
+	// 64 B past the first 4 KiB boundary.
+	for _, c := range []struct{ nx, ny, hx, hy, sy int }{{3, 5, 1, 2, 9}, {3, 128, 1, 1, 132}} {
+		g := NewGrid2D(c.nx, c.ny, c.hx, c.hy)
+		// y must be unit-stride.
+		if g.Idx(0, 1)-g.Idx(0, 0) != 1 {
+			t.Fatal("y is not unit-stride")
+		}
+		if g.Idx(1, 0)-g.Idx(0, 0) != g.SY {
+			t.Fatal("x stride != SY")
+		}
+		if g.SY != c.sy {
+			t.Fatalf("%dx%d halo %d,%d: SY = %d, want %d", c.nx, c.ny, c.hx, c.hy, g.SY, c.sy)
+		}
+		if len(g.Buf[0]) != (c.nx+2*c.hx)*g.SY {
+			t.Fatalf("buffer holds %d cells, want %d rows of %d", len(g.Buf[0]), c.nx+2*c.hx, g.SY)
+		}
 	}
 }
 
-// Row strides: rows under 4 KiB keep the dense stride; longer rows are
-// padded until none of the next four rows starts within 128 B of a
-// multiple of 4 KiB, by less than 256 B.
+// Row strides: each stride is the first one from the dense width up
+// for which none of the next four rows starts within 128 B of a
+// non-zero multiple of 4 KiB, so rows too short to reach the first
+// boundary in four rows stay dense and no row pads 32 cells or more.
 func TestGrid2DRowStride(t *testing.T) {
+	nearPage := func(sy int) bool {
+		for j := 1; j <= 4; j++ {
+			b := 8 * sy * j
+			if off := b % 4096; (off < 128 && b >= 4096) || off > 4096-128 {
+				return true
+			}
+		}
+		return false
+	}
 	for ny := 1; ny <= 4100; ny++ {
 		for _, hy := range []int{1, 2} {
 			w := ny + 2*hy
@@ -60,25 +78,28 @@ func TestGrid2DRowStride(t *testing.T) {
 			if g.SY < w || total != 5*g.SY {
 				t.Fatalf("ny=%d hy=%d: SY=%d total=%d, row holds %d cells", ny, hy, g.SY, total, w)
 			}
-			if 8*w < 4096 {
-				if g.SY != w {
-					t.Fatalf("ny=%d hy=%d: short row padded to SY=%d, want %d", ny, hy, g.SY, w)
-				}
-				continue
+			if 8*4*w < 4096-128 && g.SY != w {
+				t.Fatalf("ny=%d hy=%d: short row padded to SY=%d, want %d", ny, hy, g.SY, w)
 			}
 			if g.SY-w >= 32 {
 				t.Fatalf("ny=%d hy=%d: SY=%d pads %d cells", ny, hy, g.SY, g.SY-w)
 			}
-			for j := 1; j <= 4; j++ {
-				if off := 8 * g.SY * j % 4096; off < 128 || off > 4096-128 {
-					t.Fatalf("ny=%d hy=%d: SY=%d puts row +%d at %d B past a 4 KiB multiple", ny, hy, g.SY, j, off)
+			if nearPage(g.SY) {
+				t.Fatalf("ny=%d hy=%d: SY=%d starts one of the next four rows within 128 B of a 4 KiB multiple", ny, hy, g.SY)
+			}
+			for sy := w; sy < g.SY; sy++ {
+				if !nearPage(sy) {
+					t.Fatalf("ny=%d hy=%d: SY=%d, but %d already clears every boundary", ny, hy, g.SY, sy)
 				}
 			}
 		}
 	}
-	// rk2 on a 1024-wide domain: halo 2 gives 1028-cell rows.
-	if g := NewGrid2D(8, 1024, 2, 2); g.SY != 1040 {
-		t.Fatalf("1024 wide, halo 2: SY=%d, want 1040", g.SY)
+	// Serving and benchmark widths: heat-2d (halo 1) at 128, 256 and
+	// 384, and rk2 on a 1024-wide domain (halo 2: 1028-cell rows).
+	for _, c := range []struct{ ny, hy, sy int }{{128, 1, 132}, {256, 1, 264}, {384, 1, 388}, {1024, 2, 1040}} {
+		if g := NewGrid2D(8, c.ny, 1, c.hy); g.SY != c.sy {
+			t.Fatalf("%d wide, halo %d: SY=%d, want %d", c.ny, c.hy, g.SY, c.sy)
+		}
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 type JobOptions struct {
 	// TimeTile is the temporal tile height BT (0 = auto).
 	TimeTile int `json:"time_tile,omitempty"`
-	// Block is the per-dimension coarse block size Big (empty = the
-	// §4.2 shape at the resolved BT, core.NewConfig).
+	// Block is the per-dimension coarse block size Big. Empty picks
+	// core.NewConfig's one-stencil-stage default: L1-sized tiles,
+	// max(2·BT·slope, 32) × max(2·BT·slope, 64), for 2D jobs and the
+	// §4.2 shape at the resolved BT otherwise, clamped to the domain.
 	Block []int `json:"block,omitempty"`
 	// NoMerge disables the §4.3 B_d+B_0 merging.
 	NoMerge bool `json:"no_merge,omitempty"`
@@ -108,7 +110,7 @@ type job struct {
 	tenant   string           // sanitized + interned metric label
 	spec     *stencil.Spec    // built-in path (rank 1-3)
 	gen      *stencil.Generic // generic path (any rank)
-	mask     *grid.Mask       // resolved named mask, nil when unmasked
+	mask     *grid.Mask       // shared, read-only named mask; nil when unmasked
 	sched    *core.Schedule   // resolved at admission (see prepare)
 	cost     int64            // DRR service cost: points x steps, >= 1
 	ckey     string           // result-cache key (set in prepare)
@@ -201,10 +203,11 @@ func (s *Server) resolve(req *JobRequest) (*stencil.Spec, *stencil.Generic, erro
 // produce an invalid core.Config (e.g. a block too small for the
 // resolved BT and slopes) fail here with a descriptive error for a
 // 400, before the job ever reaches the queue — engine-side errors stay
-// reserved for genuine internal failures. The schedule comes from the
-// shared cache, so warm shapes pay one lookup and cold shapes are
-// built off the engines' serving path. prepare also fixes the job's
-// DRR service cost and its deterministic result-cache key.
+// reserved for genuine internal failures. The schedule and any named
+// mask come from shared caches, so warm shapes pay one lookup each and
+// cold shapes are built off the engines' serving path. prepare also
+// fixes the job's DRR service cost and its deterministic result-cache
+// key.
 func (s *Server) prepare(j *job) error {
 	var slopes []int
 	if j.spec != nil {
@@ -216,14 +219,16 @@ func (s *Server) prepare(j *job) error {
 		if j.spec == nil {
 			return fmt.Errorf("mask %q requires a built-in kernel (generic star/box jobs run unmasked)", j.req.Mask)
 		}
-		m, err := grid.NamedMask(j.req.Mask, j.req.N)
+		m, err := s.masks.get(j.req.Mask, j.req.N)
 		if err != nil {
 			return err
 		}
 		j.mask = m
 	}
 	o := &j.req.Options
-	cfg := core.NewConfig(j.req.N, slopes, o.TimeTile, o.Block, o.NoMerge, o.CoarsenPerStage)
+	// Every served job runs one stencil stage (a built-in spec or a
+	// generic star/box), so 2D jobs get NewConfig's L1 tiles.
+	cfg := core.NewConfig(j.req.N, slopes, 1, o.TimeTile, o.Block, o.NoMerge, o.CoarsenPerStage)
 	sched, err := s.sched.Get(&cfg, j.req.Steps)
 	if err != nil {
 		return err

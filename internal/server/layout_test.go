@@ -15,9 +15,9 @@ import (
 )
 
 // A job resolves its options to exactly the config core.NewConfig
-// builds, so a time_tile-only job tiles like a TimeTile-only Engine
-// run, clamps included, and explicit block, no_merge and
-// coarsen_per_stage still win.
+// builds for one stencil stage, so a time_tile-only job tiles like a
+// TimeTile-only Engine run, clamps included, a 2D job gets L1 tiles,
+// and explicit block, no_merge and coarsen_per_stage still win.
 func TestJobConfigIsCoreRule(t *testing.T) {
 	s := New(Config{Engines: 1, ThreadsPerEngine: 1})
 	defer s.Close()
@@ -25,6 +25,7 @@ func TestJobConfigIsCoreRule(t *testing.T) {
 		{Kernel: "heat-1d", N: []int{1000}, Options: JobOptions{TimeTile: 4}},
 		{Kernel: "heat-2d", N: []int{1024, 1024}, Options: JobOptions{TimeTile: 8}},
 		{Kernel: "heat-2d", N: []int{40, 25}, Options: JobOptions{TimeTile: 4}},
+		{Kernel: "heat-2d", N: []int{40, 80}, Options: JobOptions{TimeTile: 4}},
 		{Kernel: "star", Order: 2, N: []int{64, 64}, Options: JobOptions{TimeTile: 2}},
 		{Kernel: "heat-3d", N: []int{64, 64, 64}, Options: JobOptions{TimeTile: 2}},
 		{Kernel: "heat-3d", N: []int{16, 16, 16}, Options: JobOptions{TimeTile: 2}},
@@ -49,9 +50,13 @@ func TestJobConfigIsCoreRule(t *testing.T) {
 			slopes = gen.Slopes
 		}
 		o := req.Options
-		want := core.NewConfig(req.N, slopes, o.TimeTile, o.Block, o.NoMerge, o.CoarsenPerStage)
-		if got := j.sched.Config(); !reflect.DeepEqual(*got, want) {
+		want := core.NewConfig(req.N, slopes, 1, o.TimeTile, o.Block, o.NoMerge, o.CoarsenPerStage)
+		got := j.sched.Config()
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("%s %v %+v: job config %+v, want %+v", req.Kernel, req.N, o, *got, want)
+		}
+		if len(req.N) == 2 && req.N[0] >= 32 && req.N[1] >= 64 && o.Block == nil && !reflect.DeepEqual(got.Big, []int{32, 64}) {
+			t.Errorf("%s %v %+v: Big %v, want the 32x64 L1 tile", req.Kernel, req.N, o, got.Big)
 		}
 	}
 }

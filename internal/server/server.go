@@ -160,6 +160,7 @@ type Server struct {
 	cfg     Config
 	sched   *core.ScheduleCache
 	rcache  *resultCache // nil when disabled
+	masks   *maskCache
 	engines []*engine
 	fq      *fairQueue
 
@@ -215,6 +216,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		sched:   core.NewScheduleCache(cfg.ScheduleCacheSize),
+		masks:   newMaskCache(),
 		fq:      newFairQueue(cfg.TenantQueueDepth, weights),
 		tenants: make(map[string]*tenantMetrics),
 	}

@@ -67,6 +67,17 @@ func OneStage(s *Spec) *Pipeline {
 // NumStages returns the stage count.
 func (p *Pipeline) NumStages() int { return len(p.Stages) }
 
+// StencilStages returns the number of stencil (non-blend) stages.
+func (p *Pipeline) StencilStages() int {
+	n := 0
+	for _, st := range p.Stages {
+		if st.Spec != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // NumTmp returns the number of intermediate slots (every stage but the
 // final one writes one).
 func (p *Pipeline) NumTmp() int { return len(p.Stages) - 1 }

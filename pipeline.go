@@ -48,7 +48,7 @@ func (e *Engine) RunPipeline1D(g *Grid1D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline1D(g, p, steps, e.pool, m)
 	}
-	sched, err := tessSchedule([]int{g.N}, slopes, steps, opt)
+	sched, err := tessSchedule([]int{g.N}, slopes, p.StencilStages(), steps, opt)
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func (e *Engine) RunPipeline2D(g *Grid2D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline2D(g, p, steps, e.pool, m)
 	}
-	sched, err := tessSchedule([]int{g.NX, g.NY}, slopes, steps, opt)
+	sched, err := tessSchedule([]int{g.NX, g.NY}, slopes, p.StencilStages(), steps, opt)
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (e *Engine) RunPipeline3D(g *Grid3D, p *Pipeline, steps int, m *Mask, opt O
 	if opt.Scheme == Naive {
 		return naive.RunPipeline3D(g, p, steps, e.pool, m)
 	}
-	sched, err := tessSchedule([]int{g.NX, g.NY, g.NZ}, slopes, steps, opt)
+	sched, err := tessSchedule([]int{g.NX, g.NY, g.NZ}, slopes, p.StencilStages(), steps, opt)
 	if err != nil {
 		return err
 	}

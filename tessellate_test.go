@@ -191,9 +191,9 @@ func TestEngineThreadCount(t *testing.T) {
 }
 
 // An Engine run resolves Options through core.NewConfig, the rule the
-// server shares: with TimeTile alone the tiles take the §4.2 shape
-// (clamps included), and explicit Block, NoMerge and CoarsenPerStage
-// win. The adaptive runs report the tiling they ran with at each phase
+// server shares: with TimeTile alone a one-stage 2D run gets L1 tiles
+// and 1D and 3D runs the §4.2 shape (clamps included), and explicit
+// Block, NoMerge and CoarsenPerStage win. The adaptive runs report the tiling they ran with at each phase
 // boundary, which is what this observes.
 func TestEngineTileShapeIsCoreRule(t *testing.T) {
 	eng := NewEngine(2)
@@ -204,6 +204,8 @@ func TestEngineTileShapeIsCoreRule(t *testing.T) {
 	}{
 		{[]int{1000}, Options{TimeTile: 4}},
 		{[]int{256, 200}, Options{TimeTile: 8}},
+		{[]int{128, 128}, Options{TimeTile: 16}},
+		{[]int{203, 157}, Options{TimeTile: 4}},
 		{[]int{40, 25}, Options{TimeTile: 4}},
 		{[]int{64, 64}, Options{TimeTile: 4, Block: []int{10, 12}}},
 		{[]int{64, 64}, Options{TimeTile: 2, NoMerge: true, CoarsenPerStage: []int{2, 1, 3}}},
@@ -232,7 +234,7 @@ func TestEngineTileShapeIsCoreRule(t *testing.T) {
 		if len(probe.seen) == 0 {
 			t.Fatalf("%v %+v: no phase boundary reported", c.n, c.opt)
 		}
-		cfg := core.NewConfig(c.n, s.Slopes, c.opt.TimeTile, c.opt.Block, c.opt.NoMerge, c.opt.CoarsenPerStage)
+		cfg := core.NewConfig(c.n, s.Slopes, 1, c.opt.TimeTile, c.opt.Block, c.opt.NoMerge, c.opt.CoarsenPerStage)
 		want := Options{TimeTile: cfg.BT, Block: cfg.Big, NoMerge: !cfg.Merge, CoarsenPerStage: cfg.Coarsen.PerStage}
 		if got := probe.seen[0]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%v %+v: Engine ran %+v, core rule gives %+v", c.n, c.opt, got, want)
