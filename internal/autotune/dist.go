@@ -29,6 +29,10 @@ type DistCost struct {
 // calls for. Candidates whose exchange halo Big[0]+slope exceeds the
 // slab width are skipped (Slabs would reject them).
 //
+// The compute time is measured on Engine runs, which walk the same
+// core executor and dispatch to the same kernel tier a rank's Run
+// does, so a trial times the kernels the rank will run.
+//
 // The returned Trials carry the measured compute Seconds and the
 // charged ExchangeSeconds separately; MUpdates is the effective rate
 // including the charge, and Best maximizes it.

@@ -104,6 +104,22 @@ func (r *Region) Span(gi int) (b0, b1 int) {
 	return b0, b1
 }
 
+// groups splits ascending block indices of r into dispatch groups:
+// maximal runs of consecutive indices inside one work item's Span, so
+// a list of every block groups exactly as the work items do.
+func (r *Region) groups(blocks []int) [][2]int {
+	g := r.groupSize()
+	var out [][2]int
+	for i, bi := range blocks {
+		if i > 0 && bi == blocks[i-1]+1 && bi%g != 0 {
+			out[len(out)-1][1]++
+		} else {
+			out = append(out, [2]int{bi, bi + 1})
+		}
+	}
+	return out
+}
+
 // groupPlan classifies the blocks of one dispatch group [b0, b1) for
 // the hoisted-bounds fast path. It reports whether the group is
 // uniform (every block shares one orientation, hence one box shape per

@@ -40,10 +40,10 @@ func stopped(stop *atomic.Bool) bool {
 // domain); once a non-nil stop is set, the run aborts with ErrStopped
 // at the next region boundary.
 func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	if err := checkRun(p, sched, m, []int{g.N}, []int{g.H}); err != nil {
+	if err := checkRun(p, sched, m, []int{g.N}, []int{g.H}, nil); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf)
+	b := newPipeBody(p, sched, m, g.Buf, nil)
 	k := &box1D{kern: make([]stencil.Kernel1DBlock, len(p.Stages)), h: g.H}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -58,10 +58,45 @@ func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 
 // Run2D is Run1D for 2D grids.
 func Run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	if err := checkRun(p, sched, m, []int{g.NX, g.NY}, []int{g.HX, g.HY}); err != nil {
+	return run2D(g, p, sched, pool, m, stop, nil)
+}
+
+// Run3D is Run1D for 3D grids.
+func Run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
+	return run3D(g, p, sched, pool, m, stop, nil)
+}
+
+// RunSlab runs p over sched on g, a *grid.Grid2D or *grid.Grid3D that
+// holds only the dimension-0 planes [x0, x0+NX) of the schedule's
+// domain (with its halos): the slab of a distributed rank. The schedule
+// stays global — the box bodies shift every box by x0 planes — and the
+// walker follows plan, whose passes must name only blocks that write
+// inside the slab and read inside it and its halo. There is no mask or
+// stop flag.
+func RunSlab(g any, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, x0 int, plan [][]Pass) error {
+	sl := &slab{x0: x0, plan: plan}
+	switch g := g.(type) {
+	case *grid.Grid2D:
+		return run2D(g, p, sched, pool, nil, nil, sl)
+	case *grid.Grid3D:
+		return run3D(g, p, sched, pool, nil, nil, sl)
+	}
+	return fmt.Errorf("core: RunSlab needs a *grid.Grid2D or *grid.Grid3D, not %T", g)
+}
+
+// slab places a run's grid inside a larger domain: the grid holds the
+// dimension-0 planes [x0, x0+NX) and the walker follows plan.
+type slab struct {
+	x0   int
+	plan [][]Pass
+}
+
+// run2D is Run2D, or with a non-nil sl RunSlab, on a 2D grid.
+func run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool, sl *slab) error {
+	if err := checkRun(p, sched, m, []int{g.NX, g.NY}, []int{g.HX, g.HY}, sl); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf)
+	b := newPipeBody(p, sched, m, g.Buf, sl)
 	k := &box2D{kern: make([]stencil.Kernel2DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0)}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -75,12 +110,12 @@ func Run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	return b.run(pool, len(g.Buf[0]), k.reach+g.SY+g.NY, &g.Step, stop)
 }
 
-// Run3D is Run1D for 3D grids.
-func Run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	if err := checkRun(p, sched, m, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}); err != nil {
+// run3D is run2D for 3D grids.
+func run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool, sl *slab) error {
+	if err := checkRun(p, sched, m, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}, sl); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf)
+	b := newPipeBody(p, sched, m, g.Buf, sl)
 	k := &box3D{kern: make([]stencil.Kernel3DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0, 0)}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -118,7 +153,7 @@ func RunND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool,
 		return err
 	}
 	b := &bodyND{g: g, gs: gs, flat: gs.FlatOffsets(g.Strides)}
-	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, stop, b)
+	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, stop, nil, b)
 }
 
 // bodyND runs one block visit of the generic stencil: the last
@@ -158,8 +193,9 @@ func nextRow(p, lo, hi []int) bool {
 }
 
 // checkRun validates the arguments of a pipeline run against a grid of
-// interior extents n and halo widths halo.
-func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int) error {
+// interior extents n and halo widths halo, placed in the domain by a
+// non-nil sl.
+func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int, sl *slab) error {
 	if p == nil {
 		return fmt.Errorf("core: nil pipeline")
 	}
@@ -174,6 +210,15 @@ func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int)
 		if halo[k] < slopes[k] {
 			return fmt.Errorf("core: grid halo %v < compound slopes %v", halo, slopes)
 		}
+	}
+	if sl != nil && sched != nil {
+		if sl.x0 < 0 || sl.x0+n[0] > sched.cfg.N[0] {
+			return fmt.Errorf("core: slab planes [%d, %d) outside the domain %v", sl.x0, sl.x0+n[0], sched.cfg.N)
+		}
+		if len(sl.plan) != len(sched.regions) {
+			return fmt.Errorf("core: plan of %d regions for a %d-region schedule", len(sl.plan), len(sched.regions))
+		}
+		n = append([]int{sched.cfg.N[0]}, n[1:]...)
 	}
 	if err := checkSchedule(sched, n, slopes); err != nil {
 		return err

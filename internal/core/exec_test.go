@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -294,4 +295,58 @@ func mustSchedule(t testing.TB, cfg *Config, steps int) *Schedule {
 		t.Fatal(err)
 	}
 	return sched
+}
+
+// RunSlab with a plan naming every block, on the whole domain, is
+// Run3D; a failing pass callback stops the run with its error, and a
+// slab outside the domain, a plan of the wrong length or a grid of
+// another kind is rejected.
+func TestRunSlabPlan(t *testing.T) {
+	cfg := &Config{N: []int{24, 10, 13}, Slopes: []int{1, 1, 1}, BT: 2, Big: []int{6, 6, 8}, Merge: true}
+	sched, err := NewSchedule(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	p := stencil.OneStage(stencil.Heat3D)
+	g := grid.NewGrid3D(24, 10, 13, 1, 1, 1)
+	fill3D(g, 7)
+	ref := g.Clone()
+	if err := Run3D(ref, p, sched, pool, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	plan := make([][]Pass, len(sched.Regions()))
+	calls := 0
+	for ri, r := range sched.Regions() {
+		all := make([]int, len(r.Blocks))
+		for bi := range all {
+			all[bi] = bi
+		}
+		plan[ri] = []Pass{{Before: func() error { calls++; return nil }, Blocks: all}}
+	}
+	if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
+		t.Fatal(err)
+	}
+	if r := verify.Grids3D(g, ref); !r.Equal {
+		t.Fatal(r.Error("slab"))
+	}
+	if calls != len(plan) {
+		t.Fatalf("%d pass callbacks ran, want %d", calls, len(plan))
+	}
+
+	boom := errors.New("boom")
+	plan[0][0].Before = func() error { return boom }
+	if err := RunSlab(g, p, sched, pool, 0, plan); err != boom {
+		t.Fatalf("callback error not returned: %v", err)
+	}
+	if err := RunSlab(g, p, sched, pool, 1, plan); err == nil {
+		t.Error("slab past the domain's end accepted")
+	}
+	if err := RunSlab(g, p, sched, pool, 0, plan[1:]); err == nil {
+		t.Error("short plan accepted")
+	}
+	if err := RunSlab(grid.NewGrid1D(24, 1), p, sched, pool, 0, plan); err == nil {
+		t.Error("1D grid accepted")
+	}
 }

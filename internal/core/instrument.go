@@ -56,8 +56,9 @@ func (sp *regionSpan) addKernelCalls(worker int, row, block, simd int64) {
 }
 
 // end records the region's metrics and trace event. index is the
-// region's position in the run's schedule.
-func (sp *regionSpan) end(cfg *Config, r *Region, index int) {
+// region's position in the run's schedule and blocks the number of its
+// blocks the run visited.
+func (sp *regionSpan) end(cfg *Config, r *Region, index, blocks int) {
 	if sp == nil {
 		return
 	}
@@ -72,14 +73,14 @@ func (sp *regionSpan) end(cfg *Config, r *Region, index int) {
 		// regions already have a kind of their own.
 		telemetry.StageDuration.Histogram(stageKind(r.Stage)).Observe(dur)
 	}
-	telemetry.StageBlocks.Counter(regionKind(r)).Add(uint64(len(r.Blocks)))
-	telemetry.BlocksExecuted.Add(uint64(len(r.Blocks)))
+	telemetry.StageBlocks.Counter(regionKind(r)).Add(uint64(blocks))
+	telemetry.BlocksExecuted.Add(uint64(blocks))
 	telemetry.DefaultTracer.RecordSpan(telemetry.Event{
 		Name:   kind,
 		Cat:    "core",
 		Phase:  int64(r.Ref / cfg.BT),
 		Stage:  int64(index),
-		Blocks: int64(len(r.Blocks)),
+		Blocks: int64(blocks),
 		Points: sp.points,
 	}, sp.start)
 }

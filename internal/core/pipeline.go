@@ -91,6 +91,7 @@ type pipeBody struct {
 	m     *grid.Mask
 	buf   [2][]float64 // the state grid's parity buffers
 	dim   boxer
+	slab  // the grid's place in the domain; zero for the whole domain
 }
 
 // boxer applies stage i of b's pipeline — with stage i+1 when
@@ -107,20 +108,25 @@ type boxer interface {
 // destination for the final stage.
 type stageBufs struct{ in, out, ia, ib []float64 }
 
-// newPipeBody prepares a validated pipeline for one run over sched.
-// One path per run: it is sampled here, never re-read, so a concurrent
+// newPipeBody prepares a validated pipeline for one run over sched on
+// a grid placed in the domain by sl (nil: the whole domain). One path
+// per run: it is sampled here, never re-read, so a concurrent
 // SetKernelPath cannot mix dispatch shapes within a run.
-func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]float64) *pipeBody {
+func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]float64, sl *slab) *pipeBody {
 	grow := p.SuffixSlopes()
 	for i, g := range grow {
 		if slices.Max(g) == 0 {
 			grow[i] = nil
 		}
 	}
-	return &pipeBody{
+	b := &pipeBody{
 		p: p, sched: sched, grow: grow, fused: fusedPairs(p),
 		path: runPath(), kpath: make([]stencil.Path, len(p.Stages)), m: m, buf: buf,
 	}
+	if sl != nil {
+		b.slab = *sl
+	}
+	return b
 }
 
 // run walks the schedule with one lane per worker, carrying the
@@ -151,7 +157,7 @@ func (b *pipeBody) run(pool *par.Pool, buflen, stripLen int, step *int, stop *at
 			}
 		}
 	}
-	return walk(b.sched, step, pool, lanes, b.m, stop, b)
+	return walk(b.sched, step, pool, lanes, b.m, stop, b.plan, b)
 }
 
 // newScratch gives each lane a TmpHalo-filled slot of buflen cells per
@@ -313,7 +319,8 @@ func (k *box1D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
 	}
 }
 
-// box2D applies 2D stages.
+// box2D applies 2D stages. Boxes are in domain coordinates; the grid
+// holds the dimension-0 planes from b.x0 on.
 type box2D struct {
 	kern  []stencil.Kernel2DBlock
 	g     *grid.Grid2D
@@ -322,7 +329,7 @@ type box2D struct {
 
 func (k *box2D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
 	st, g := &b.p.Stages[i], k.g
-	base := g.Idx(lo[0], lo[1])
+	base := g.Idx(lo[0]-b.x0, lo[1])
 	nx, ny := hi[0]-lo[0], hi[1]-lo[1]
 	switch {
 	case b.fused[i]:
@@ -346,7 +353,7 @@ func (k *box2D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
 	}
 }
 
-// box3D applies 3D stages.
+// box3D is box2D for 3D stages.
 type box3D struct {
 	kern  []stencil.Kernel3DBlock
 	g     *grid.Grid3D
@@ -355,7 +362,7 @@ type box3D struct {
 
 func (k *box3D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
 	st, g := &b.p.Stages[i], k.g
-	xBase := g.Idx(lo[0], lo[1], lo[2])
+	xBase := g.Idx(lo[0]-b.x0, lo[1], lo[2])
 	nx, ny, nz := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
 	switch {
 	case b.fused[i]:

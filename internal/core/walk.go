@@ -50,15 +50,28 @@ func newLanes(workers, d int) []lane {
 	return lanes
 }
 
+// Pass is one step of a region's pass plan, which lets a caller
+// interleave its own work with a region's blocks: Before (if non-nil)
+// runs on the walking goroutine, then the walker visits Blocks,
+// ascending indices into the region's block list. A distributed rank's
+// plan visits only the blocks of its slab and runs its halo exchange
+// in Before.
+type Pass struct {
+	Before func() error
+	Blocks []int
+}
+
 // walk is the region loop of every tessellated executor. Per region it
-// checks the stop flag, runs the region's block groups over the pool's
-// sticky mapping, and for each block visit computes the clipped box
-// once — replaying groupPlan's hoisted representative box as a pure
-// origin offset for interior blocks of a uniform group — classifies it
-// against the mask with one CountBox (skipping fully frozen boxes) and
-// calls v. It tallies points and kernel calls into telemetry and
-// advances *step by the schedule's step count once the run completes.
-func walk(sched *Schedule, step *int, pool *par.Pool, lanes []lane, m *grid.Mask, stop *atomic.Bool, v visitor) error {
+// checks the stop flag and runs the region's block groups over the
+// pool's sticky mapping — all of them, or with a non-nil plan the
+// passes plan[ri] in order. For each block visit it computes the
+// clipped box once — replaying groupPlan's hoisted representative box
+// as a pure origin offset for interior blocks of a uniform group —
+// classifies it against the mask with one CountBox (skipping fully
+// frozen boxes) and calls v. It tallies points and kernel calls into
+// telemetry and advances *step by the schedule's step count once the
+// run completes.
+func walk(sched *Schedule, step *int, pool *par.Pool, lanes []lane, m *grid.Mask, stop *atomic.Bool, plan [][]Pass, v visitor) error {
 	cfg := &sched.cfg
 	pb := *step & 1 // buffer parity: current values live in Buf[pb]
 	for ri := range sched.regions {
@@ -67,59 +80,81 @@ func walk(sched *Schedule, step *int, pool *par.Pool, lanes []lane, m *grid.Mask
 		}
 		r := &sched.regions[ri]
 		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			l := &lanes[wkr]
-			lo, hi, rel, ext := l.lo, l.hi, l.rel, l.ext
-			b0, b1 := r.Span(gi)
-			// Hoisting pays only when a group has blocks to share it.
-			uniform, interior := false, uint64(0)
-			if b1-b0 > 1 {
-				uniform, interior = cfg.groupPlan(r, b0, b1, lo, hi, l.slo, l.shi)
-			}
-			var pts int64
-			for t := r.T0; t < r.T1; t++ {
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(r, rep, t, lo, hi)
-					empty := false
-					for k := range lo {
-						rel[k], ext[k] = lo[k]-rep.Origin[k], hi[k]-lo[k]
-						empty = empty || ext[k] <= 0
-					}
-					if empty {
-						continue
+		nb := len(r.Blocks)
+		if plan == nil {
+			pool.ForSticky(r.Tasks(), func(gi, wkr int) {
+				b0, b1 := r.Span(gi)
+				lanes[wkr].visitGroup(cfg, r, b0, b1, m, sp, wkr, pb, v)
+			})
+		} else {
+			nb = 0
+			for _, ps := range plan[ri] {
+				if ps.Before != nil {
+					if err := ps.Before(); err != nil {
+						return err
 					}
 				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						for k := range lo {
-							lo[k] = b.Origin[k] + rel[k]
-							hi[k] = lo[k] + ext[k]
-						}
-					} else if !cfg.ClippedBounds(r, b, t, lo, hi) {
-						continue
-					}
-					n := 0
-					if m != nil {
-						if n = m.CountBox(lo, hi); n == 0 {
-							continue
-						}
-					} else if sp != nil {
-						n = int(boxVolume(lo, hi))
-					}
-					pts += int64(n)
-					v.visit(l, (t+pb)&1, n)
-				}
+				spans := r.groups(ps.Blocks)
+				pool.ForSticky(len(spans), func(i, wkr int) {
+					lanes[wkr].visitGroup(cfg, r, spans[i][0], spans[i][1], m, sp, wkr, pb, v)
+				})
+				nb += len(ps.Blocks)
 			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, l.calls.rows, l.calls.blocks, l.calls.simds)
-			l.calls = callTally{}
-		})
-		sp.end(cfg, r, ri)
+		}
+		sp.end(cfg, r, ri, nb)
 	}
 	*step += sched.steps
 	return nil
+}
+
+// visitGroup runs every visit of the blocks [b0, b1) of region r on
+// worker wkr's lane l, and tallies the points and kernel calls into sp.
+func (l *lane) visitGroup(c *Config, r *Region, b0, b1 int, m *grid.Mask, sp *regionSpan, wkr, pb int, v visitor) {
+	lo, hi, rel, ext := l.lo, l.hi, l.rel, l.ext
+	// Hoisting pays only when a group has blocks to share it.
+	uniform, interior := false, uint64(0)
+	if b1-b0 > 1 {
+		uniform, interior = c.groupPlan(r, b0, b1, lo, hi, l.slo, l.shi)
+	}
+	var pts int64
+	for t := r.T0; t < r.T1; t++ {
+		if uniform {
+			// One bounds computation covers the whole group: every
+			// block's box is the same origin offset.
+			rep := &r.Blocks[b0]
+			c.Bounds(r, rep, t, lo, hi)
+			empty := false
+			for k := range lo {
+				rel[k], ext[k] = lo[k]-rep.Origin[k], hi[k]-lo[k]
+				empty = empty || ext[k] <= 0
+			}
+			if empty {
+				continue
+			}
+		}
+		for bi := b0; bi < b1; bi++ {
+			b := &r.Blocks[bi]
+			if uniform && interior&(1<<uint(bi-b0)) != 0 {
+				for k := range lo {
+					lo[k] = b.Origin[k] + rel[k]
+					hi[k] = lo[k] + ext[k]
+				}
+			} else if !c.ClippedBounds(r, b, t, lo, hi) {
+				continue
+			}
+			n := 0
+			if m != nil {
+				if n = m.CountBox(lo, hi); n == 0 {
+					continue
+				}
+			} else if sp != nil {
+				n = int(boxVolume(lo, hi))
+			}
+			pts += int64(n)
+			v.visit(l, (t+pb)&1, n)
+		}
+	}
+	sp.addPoints(wkr, pts)
+	sp.addKernelCalls(wkr, l.calls.rows, l.calls.blocks, l.calls.simds)
+	l.calls = callTally{}
 }

@@ -253,4 +253,37 @@ func TestNewRankRejectsBadInput(t *testing.T) {
 	if _, err := NewRank(0, 64, ts[0], cfg, stencil.Heat2D, 1); err == nil {
 		t.Error("too many ranks accepted")
 	}
+	// A valid config whose slopes are not the stencil's.
+	steep := core.Config{N: []int{64, 32}, Slopes: []int{2, 2}, BT: 2, Big: []int{10, 12}, Merge: true}
+	if err := steep.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRank(0, 1, ts[0], &steep, stencil.Heat2D, 1); err == nil {
+		t.Error("config slopes different from the stencil's accepted")
+	}
+}
+
+// Scatter and Territory take a grid of either dimension, so they must
+// reject one of the wrong kind, shape or halo width.
+func TestScatterRejectsBadGrid(t *testing.T) {
+	r, err := NewRank(0, 1, LocalCluster(1)[0], testConfig(64, 32), stencil.Heat2D, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, g := range map[string]any{
+		"3D grid":     grid.NewGrid3D(64, 32, 4, 1, 1, 1),
+		"wrong shape": grid.NewGrid2D(64, 30, 1, 1),
+		"no halo":     grid.NewGrid2D(64, 32, 0, 0),
+		"nil":         nil,
+	} {
+		if err := r.Scatter(g); err == nil {
+			t.Errorf("Scatter accepted a %s", name)
+		}
+		if name != "no halo" {
+			if err := r.Territory(g); err == nil {
+				t.Errorf("Territory accepted a %s", name)
+			}
+		}
+	}
 }

@@ -7,9 +7,8 @@ import (
 	"tessellate/internal/telemetry"
 )
 
-// exchanger runs the per-region strip swap for a rank, in either of
-// two modes, sharing the transport, buffers and accounting between
-// Rank (2D) and Rank3D:
+// exchanger runs a rank's per-region strip swap, in either of two
+// modes, over one transport with one set of buffers and counters:
 //
 //   - synchronous: even/odd pairwise ordering, the caller blocks for
 //     the whole exchange (the original semantics);
@@ -21,8 +20,9 @@ import (
 //     halo-dependent blocks run.
 //
 // Grid access is delegated to pack/unpack closures so the engine is
-// dimension-agnostic: gx0 names the strip's first global x column, and
-// the closure moves both parity buffers between grid and buffer.
+// dimension-agnostic: gx0 names the strip's first global dimension-0
+// plane, and the closure moves the interior rows of the strip's planes,
+// both parity buffers, between grid and buffer.
 type exchanger struct {
 	tr         Transport
 	id, nranks int

@@ -1,33 +1,28 @@
 package dist
 
-import (
-	"fmt"
-
-	"tessellate/internal/grid"
-)
-
 // GatherTo collects every rank's territory at rank root over the
 // transport, so no shared memory is needed (the real-cluster path; the
 // in-process tests use Territory directly). All ranks must call
-// GatherTo with the same root; on the root, dst receives the full
-// field and the call returns after all territories arrive. On other
-// ranks dst is ignored (may be nil).
-func (r *Rank) GatherTo(root int, dst *grid.Grid2D) error {
-	ny := r.cfg.N[1]
+// GatherTo with the same root; on the root, dst (a *grid.Grid2D or
+// *grid.Grid3D of the config's extents) receives the full field and
+// the call returns after all territories arrive. On other ranks dst is
+// ignored (may be nil). A territory travels as the interior rows of
+// its planes.
+func (r *Rank) GatherTo(root int, dst any) error {
 	if r.ID != root {
-		// Pack our territory row-major and send it to the root.
-		buf := make([]float64, r.part.Width()*ny)
-		for x := r.part.X0; x < r.part.X1; x++ {
-			row := r.local.Idx(x-r.xbase, 0)
-			copy(buf[(x-r.part.X0)*ny:], r.local.Buf[r.local.Step&1][row:row+ny])
-		}
+		w := r.local.wire(r.part.Width())
+		buf := make([]float64, r.part.Width()*r.local.planeLen())
+		copyPlanes(buf, &w, 0, r.local.cur(), &r.local, r.part.X0-r.xbase, r.part.Width(), [2]int{})
 		return r.tr.Send(root, buf)
 	}
-	if dst == nil || dst.NX != r.cfg.N[0] || dst.NY != ny {
-		return fmt.Errorf("dist: gather destination must be %v", r.cfg.N)
+	ds, err := r.globalSlab(dst)
+	if err != nil {
+		return err
 	}
-	dst.Step = r.local.Step
-	r.Territory(dst)
+	*ds.Step = *r.local.Step
+	if err := r.Territory(dst); err != nil {
+		return err
+	}
 	parts, err := Slabs(r.cfg.N[0], r.NRanks, r.h)
 	if err != nil {
 		return err
@@ -37,14 +32,12 @@ func (r *Rank) GatherTo(root int, dst *grid.Grid2D) error {
 			continue
 		}
 		p := parts[peer]
-		buf := make([]float64, p.Width()*ny)
+		w := r.local.wire(p.Width())
+		buf := make([]float64, p.Width()*r.local.planeLen())
 		if err := r.tr.Recv(peer, buf); err != nil {
 			return err
 		}
-		for x := p.X0; x < p.X1; x++ {
-			row := dst.Idx(x, 0)
-			copy(dst.Buf[dst.Step&1][row:row+ny], buf[(x-p.X0)*ny:(x-p.X0+1)*ny])
-		}
+		copyPlanes(ds.cur(), &ds, p.X0, buf, &w, 0, p.Width(), [2]int{})
 	}
 	return nil
 }

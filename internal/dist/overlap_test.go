@@ -146,9 +146,9 @@ func TestOverlap3DMatchesSingleRank(t *testing.T) {
 		naive.Run3D(ref, stencil.Heat3D, 7, nil)
 
 		ts := LocalCluster(nranks)
-		ranks := make([]*Rank3D, nranks)
+		ranks := make([]*Rank, nranks)
 		for i := 0; i < nranks; i++ {
-			r, err := NewRank3D(i, nranks, ts[i], cfg, stencil.Heat3D, 1)
+			r, err := NewRank(i, nranks, ts[i], cfg, stencil.Heat3D, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -46,7 +47,11 @@ func Slabs(nx, nranks, h int) ([]Partition, error) {
 	return parts, nil
 }
 
-// Rank executes one share of a distributed 2D tessellation run.
+// Rank executes one share of a distributed 2D or 3D tessellation run,
+// slab-decomposed along dimension 0. It replays the global schedule
+// through core's region walker on its local slab, visiting only the
+// blocks that touch its territory and exchanging strips of h whole
+// dimension-0 planes with its neighbours before each region.
 type Rank struct {
 	ID, NRanks int
 	tr         Transport
@@ -54,26 +59,32 @@ type Rank struct {
 	cfg        *core.Config // global configuration
 	spec       *stencil.Spec
 	pool       *par.Pool
-	local      *grid.Grid2D // interior = [X0-ExtLo, X1+ExtHi) x NY
-	h          int          // exchange-halo width
-	xbase      int          // global x of local interior column 0
+	local      slab // planes [X0-ExtLo, X1+ExtHi) of the domain
+	h          int  // exchange-halo width
+	xbase      int  // global x of local interior plane 0
 	ex         *exchanger
 	overlap    bool
+	span       telemetry.Event // the open interior or halo span
+	spanStart  time.Time
 	// Stats, mirrored from the exchanger after each Run.
 	MessagesSent int
 	FloatsSent   int64
 }
 
 // ExchangeHalo returns the strip width the scheme needs: a block
-// intersecting the territory extends at most Big-1 columns beyond it
+// intersecting the territory extends at most Big-1 planes beyond it
 // and reads slope further.
 func ExchangeHalo(cfg *core.Config) int { return cfg.Big[0] + cfg.Slopes[0] }
 
 // NewRank prepares rank id of nranks for the global configuration and
-// stencil. workers sets the per-rank pool size.
+// a 2D or 3D stencil whose dimension and slopes match it. workers sets
+// the per-rank pool size.
 func NewRank(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spec, workers int) (*Rank, error) {
-	if spec.Dims != 2 || spec.K2 == nil {
-		return nil, fmt.Errorf("dist: %s is not a 2D kernel (distributed execution is implemented for 2D)", spec.Name)
+	if spec.Dims != len(cfg.N) || (spec.Dims != 2 && spec.Dims != 3) {
+		return nil, fmt.Errorf("dist: %s is %dD and the config %dD; ranks run 2D and 3D", spec.Name, spec.Dims, len(cfg.N))
+	}
+	if !slices.Equal(cfg.Slopes, spec.Slopes) {
+		return nil, fmt.Errorf("dist: config slopes %v != %s slopes %v", cfg.Slopes, spec.Name, spec.Slopes)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -94,9 +105,13 @@ func NewRank(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spec,
 		h:     h,
 		xbase: p.X0 - p.ExtLo,
 	}
-	ny := cfg.N[1]
-	r.local = grid.NewGrid2D(p.ExtLo+p.Width()+p.ExtHi, ny, spec.Slopes[0], spec.Slopes[1])
-	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*ny, r.packStrip, r.unpackStrip)
+	nx, s := p.ExtLo+p.Width()+p.ExtHi, spec.Slopes
+	if spec.Dims == 2 {
+		r.local, _ = slabOf(grid.NewGrid2D(nx, cfg.N[1], s[0], s[1]))
+	} else {
+		r.local, _ = slabOf(grid.NewGrid3D(nx, cfg.N[1], cfg.N[2], s[0], s[1], s[2]))
+	}
+	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*r.local.planeLen(), r.packStrip, r.unpackStrip)
 	return r, nil
 }
 
@@ -114,69 +129,111 @@ func (r *Rank) Close() { r.pool.Close() }
 func (r *Rank) Partition() Partition { return r.part }
 
 // Scatter loads this rank's slab (territory + exchange halos + the
-// global constant boundary) from a full copy of the initial grid. In a
-// real deployment each rank would construct its slab directly; Scatter
+// global constant boundary) from a full copy of the initial grid, a
+// *grid.Grid2D or *grid.Grid3D matching the config. In a real
+// deployment each rank would construct its slab directly; Scatter
 // exists for tests and examples that hold the global state anyway.
-func (r *Rank) Scatter(global *grid.Grid2D) error {
-	if global.NX != r.cfg.N[0] || global.NY != r.cfg.N[1] {
-		return fmt.Errorf("dist: global grid %dx%d != config %v", global.NX, global.NY, r.cfg.N)
+func (r *Rank) Scatter(global any) error {
+	gs, err := r.globalSlab(global)
+	if err != nil {
+		return err
 	}
-	lg := r.local
-	for xl := -lg.HX; xl < lg.NX+lg.HX; xl++ {
-		for y := -lg.HY; y < lg.NY+lg.HY; y++ {
-			gx := r.xbase + xl
-			// Outside the global grid (possible only at domain ends,
-			// where ext is clipped): copy the global halo value.
-			if gx < -global.HX {
-				gx = -global.HX
-			}
-			if gx >= global.NX+global.HX {
-				gx = global.NX + global.HX - 1
-			}
-			i := lg.Idx(xl, y)
-			j := global.Idx(gx, y)
-			lg.Buf[0][i] = global.Buf[0][j]
-			lg.Buf[1][i] = global.Buf[1][j]
+	lg := &r.local
+	if gs.h[1] < lg.h[1] || gs.h[2] < lg.h[2] {
+		return fmt.Errorf("dist: global grid halo %v narrower than the rank's %v", gs.h, lg.h)
+	}
+	// Whole planes with their rows' halos; planes beyond the domain
+	// (possible only at domain ends, where ext is clipped) copy the
+	// outermost global halo plane.
+	pad := [2]int{lg.h[1], lg.h[2]}
+	for xl := -lg.h[0]; xl < lg.n[0]+lg.h[0]; xl++ {
+		gx := min(max(r.xbase+xl, -gs.h[0]), gs.n[0]+gs.h[0]-1)
+		for p := 0; p < 2; p++ {
+			copyPlanes(lg.Buf[p], lg, xl, gs.Buf[p], &gs, gx, 1, pad)
 		}
 	}
-	lg.Step = global.Step
+	*lg.Step = *gs.Step
 	return nil
 }
 
 // Territory copies the rank's owned values (current buffer) into dst,
-// a full-size global grid; used to gather results.
-func (r *Rank) Territory(dst *grid.Grid2D) {
-	for x := r.part.X0; x < r.part.X1; x++ {
-		for y := 0; y < r.cfg.N[1]; y++ {
-			dst.Buf[dst.Step&1][dst.Idx(x, y)] = r.local.Buf[r.local.Step&1][r.local.Idx(x-r.xbase, y)]
-		}
+// a full-size global grid of the rank's dimension; used to gather
+// results.
+func (r *Rank) Territory(dst any) error {
+	ds, err := r.globalSlab(dst)
+	if err != nil {
+		return err
 	}
+	copyPlanes(ds.cur(), &ds, r.part.X0, r.local.cur(), &r.local, r.part.X0-r.xbase, r.part.Width(), [2]int{})
+	return nil
+}
+
+// globalSlab views g as a grid of the config's global extents.
+func (r *Rank) globalSlab(g any) (slab, error) {
+	s, err := slabOf(g)
+	if err == nil && !slices.Equal(s.ext, r.cfg.N) {
+		err = fmt.Errorf("dist: global grid %v != config %v", s.ext, r.cfg.N)
+	}
+	return s, err
 }
 
 // Run advances the rank's slab by steps time steps. All ranks must call
 // Run with the same arguments; the call blocks on neighbour exchanges.
+// The rank resolves its kernel from its stencil here, at run time.
 func (r *Rank) Run(steps int) error {
-	for _, reg := range r.cfg.Regions(steps) {
-		reg := reg
-		mine := selectBlocks(r.cfg, &reg, r.part)
+	sched, err := core.NewSchedule(r.cfg, steps)
+	if err != nil {
+		return err
+	}
+	regs := sched.Regions()
+	plan := make([][]core.Pass, len(regs))
+	for ri := range regs {
+		reg := &regs[ri]
+		mine := selectBlocks(r.cfg, reg, r.part)
 		if !r.overlap || r.NRanks == 1 {
-			if err := r.exchange(); err != nil {
-				return err
-			}
-			r.runBlocks(&reg, mine, "")
+			plan[ri] = []core.Pass{{Before: r.exchange, Blocks: mine}}
 			continue
 		}
-		halo, interior := splitByHalo(r.cfg, &reg, mine, r.part, r.ID, r.NRanks)
-		r.ex.start()
-		r.runBlocks(&reg, interior, "interior")
-		if err := r.waitExchange(); err != nil {
-			return err
+		halo, interior := splitByHalo(r.cfg, reg, mine, r.part, r.ID, r.NRanks)
+		plan[ri] = []core.Pass{
+			{Before: func() error {
+				r.ex.start()
+				r.openSpan("interior", len(interior))
+				return nil
+			}, Blocks: interior},
+			{Before: func() error {
+				r.closeSpan()
+				if err := r.waitExchange(); err != nil {
+					return err
+				}
+				r.openSpan("halo", len(halo))
+				return nil
+			}, Blocks: halo},
 		}
-		r.runBlocks(&reg, halo, "halo")
 	}
-	r.local.Step += steps
+	err = core.RunSlab(r.local.g, stencil.OneStage(r.spec), sched, r.pool, r.xbase, plan)
+	r.closeSpan()
 	r.MessagesSent, r.FloatsSent = r.ex.messages, r.ex.floats
-	return nil
+	return err
+}
+
+// openSpan starts a compute-lane span over a pass of blocks blocks,
+// closing the previous one, so traces of overlapped runs show
+// "interior" under the in-flight exchange and "halo" after it.
+func (r *Rank) openSpan(name string, blocks int) {
+	r.closeSpan()
+	if blocks > 0 && telemetry.Enabled() {
+		r.span = telemetry.Event{Name: name, Cat: "dist", TID: r.ID, Phase: -1, Stage: -1, Blocks: int64(blocks)}
+		r.spanStart = time.Now()
+	}
+}
+
+// closeSpan records the open span, if any.
+func (r *Rank) closeSpan() {
+	if r.span.Name != "" {
+		telemetry.DefaultTracer.RecordSpan(r.span, r.spanStart)
+		r.span.Name = ""
+	}
 }
 
 // selectBlocks returns the indices of the region's blocks whose
@@ -231,43 +288,6 @@ func splitByHalo(c *core.Config, reg *core.Region, mine []int, part Partition, i
 	return halo, interior
 }
 
-// runBlocks executes the listed blocks of the region on the pool. A
-// non-empty span name records the batch on the rank's compute lane, so
-// traces of overlapped runs show "interior" under the in-flight
-// exchange and "halo" after it.
-func (r *Rank) runBlocks(reg *core.Region, idxs []int, span string) {
-	if len(idxs) == 0 {
-		return
-	}
-	start := time.Now()
-	r.pool.For(len(idxs), func(i int) {
-		b := &reg.Blocks[idxs[i]]
-		for t := reg.T0; t < reg.T1; t++ {
-			r.runBox(b, reg, t)
-		}
-	})
-	if span != "" && telemetry.Enabled() {
-		telemetry.DefaultTracer.RecordSpan(telemetry.Event{
-			Name: span, Cat: "dist", TID: r.ID, Phase: -1, Stage: -1,
-			Blocks: int64(len(idxs)),
-		}, start)
-	}
-}
-
-// runBox executes one block time slice on the local slab.
-func (r *Rank) runBox(b *core.Block, reg *core.Region, t int) {
-	var lo, hi [2]int
-	if !r.cfg.ClippedBounds(reg, b, t, lo[:], hi[:]) {
-		return
-	}
-	lg := r.local
-	dst, src := lg.Buf[(t+1)&1], lg.Buf[t&1]
-	n := hi[1] - lo[1]
-	for x := lo[0]; x < hi[0]; x++ {
-		r.spec.K2(dst, src, lg.Idx(x-r.xbase, lo[1]), n, lg.SY)
-	}
-}
-
 // exchange runs the synchronous strip swap with both neighbours,
 // recording the blocked time.
 func (r *Rank) exchange() error {
@@ -310,30 +330,80 @@ func countTransfer(dir string, peer, floats int) {
 	telemetry.DistMessages.Counter(dir, p).Inc()
 }
 
-// packStrip copies the h-wide strip starting at global column gx0
-// (both parity buffers) into buf; unpackStrip is the inverse.
+// packStrip copies the interior rows of the h planes starting at
+// global plane gx0, both parity buffers, into buf; unpackStrip is the
+// inverse. A strip holds 2*h*planeLen floats.
 func (r *Rank) packStrip(gx0 int, buf []float64) {
-	lg := r.local
-	ny := lg.NY
-	k := 0
+	w := r.local.wire(2 * r.h)
 	for p := 0; p < 2; p++ {
-		for x := gx0; x < gx0+r.h; x++ {
-			row := lg.Idx(x-r.xbase, 0)
-			copy(buf[k:k+ny], lg.Buf[p][row:row+ny])
-			k += ny
-		}
+		copyPlanes(buf, &w, p*r.h, r.local.Buf[p], &r.local, gx0-r.xbase, r.h, [2]int{})
 	}
 }
 
 func (r *Rank) unpackStrip(gx0 int, buf []float64) {
-	lg := r.local
-	ny := lg.NY
-	k := 0
+	w := r.local.wire(2 * r.h)
 	for p := 0; p < 2; p++ {
-		for x := gx0; x < gx0+r.h; x++ {
-			row := lg.Idx(x-r.xbase, 0)
-			copy(lg.Buf[p][row:row+ny], buf[k:k+ny])
-			k += ny
+		copyPlanes(r.local.Buf[p], &r.local, gx0-r.xbase, buf, &w, p*r.h, r.h, [2]int{})
+	}
+}
+
+// slab views a *grid.Grid2D or *grid.Grid3D as its dimension-0 planes
+// of rows, a 2D plane being a single row: interior cell (x, y, z) lives
+// at org + x*sx + y*sy + z for y < n[1] and z < n[2], with h the halo
+// widths. g is the grid, ext its interior extents, and Buf and Step
+// point at its fields. A wire buffer is a slab with no grid.
+type slab struct {
+	g           any
+	ext         []int
+	Buf         *[2][]float64
+	Step        *int
+	n, h        [3]int
+	org, sx, sy int
+}
+
+// slabOf views g, which must be a *grid.Grid2D or *grid.Grid3D.
+func slabOf(g any) (slab, error) {
+	switch g := g.(type) {
+	case *grid.Grid2D:
+		return slab{
+			g: g, ext: []int{g.NX, g.NY}, Buf: &g.Buf, Step: &g.Step,
+			n: [3]int{g.NX, 1, g.NY}, h: [3]int{g.HX, 0, g.HY},
+			org: g.Idx(0, 0), sx: g.SY,
+		}, nil
+	case *grid.Grid3D:
+		return slab{
+			g: g, ext: []int{g.NX, g.NY, g.NZ}, Buf: &g.Buf, Step: &g.Step,
+			n: [3]int{g.NX, g.NY, g.NZ}, h: [3]int{g.HX, g.HY, g.HZ},
+			org: g.Idx(0, 0, 0), sx: g.SX, sy: g.SY,
+		}, nil
+	}
+	return slab{}, fmt.Errorf("dist: %T is not a *grid.Grid2D or *grid.Grid3D", g)
+}
+
+// planeLen returns the interior cell count of one plane.
+func (s *slab) planeLen() int { return s.n[1] * s.n[2] }
+
+// cur returns the buffer holding the current values.
+func (s *slab) cur() []float64 { return s.Buf[*s.Step&1] }
+
+// wire returns the dense layout of planes planes of s's interior rows,
+// the wire format of strips and gathers.
+func (s *slab) wire(planes int) slab {
+	return slab{n: [3]int{planes, s.n[1], s.n[2]}, sx: s.planeLen(), sy: s.n[2]}
+}
+
+func (s *slab) idx(x, y, z int) int { return s.org + x*s.sx + y*s.sy + z }
+
+// copyPlanes copies the rows of count planes of src, from plane sx0 of
+// its buffer sb, to dst's buffer db from plane dx0. Each plane's rows
+// are widened by pad[0] rows and each row by pad[1] cells per side, so
+// a zero pad moves interior rows only.
+func copyPlanes(db []float64, dst *slab, dx0 int, sb []float64, src *slab, sx0, count int, pad [2]int) {
+	w := src.n[2] + 2*pad[1]
+	for x := 0; x < count; x++ {
+		for y := -pad[0]; y < src.n[1]+pad[0]; y++ {
+			d, s := dst.idx(dx0+x, y, -pad[1]), src.idx(sx0+x, y, -pad[1])
+			copy(db[d:d+w], sb[s:s+w])
 		}
 	}
 }

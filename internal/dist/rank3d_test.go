@@ -15,9 +15,9 @@ import (
 func runCluster3D(t *testing.T, nranks int, cfg *core.Config, spec *stencil.Spec, initial *grid.Grid3D, steps int) *grid.Grid3D {
 	t.Helper()
 	ts := LocalCluster(nranks)
-	ranks := make([]*Rank3D, nranks)
+	ranks := make([]*Rank, nranks)
 	for i := 0; i < nranks; i++ {
-		r, err := NewRank3D(i, nranks, ts[i], cfg, spec, 1)
+		r, err := NewRank(i, nranks, ts[i], cfg, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +93,11 @@ func TestDistributed3DVarCoef(t *testing.T) {
 	// Distributed: each rank needs a kappa slice in its local layout.
 	nranks := 2
 	ts := LocalCluster(nranks)
-	ranks := make([]*Rank3D, nranks)
+	ranks := make([]*Rank, nranks)
 	for i := 0; i < nranks; i++ {
 		// Build the rank first to learn its local shape, then swap in a
 		// spec whose kappa matches that shape.
-		r, err := NewRank3D(i, nranks, ts[i], cfg, stencil.Heat3D, 1)
+		r, err := NewRank(i, nranks, ts[i], cfg, stencil.Heat3D, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,7 @@
 // Package model provides closed-form DRAM-traffic predictions for the
-// tiling schemes and an analytic tile-size selector, in the tradition
-// the paper cites for time skewing (Andonov et al.'s optimal tile-size
-// models). The predictions are validated against the cache simulator
-// in the tests; the selector complements the measurement-driven
-// internal/autotune with a zero-measurement starting point.
+// tiling schemes, in the tradition the paper cites for time skewing
+// (Andonov et al.'s optimal tile-size models). The predictions are
+// validated against the cache simulator in the tests.
 //
 // Model (write-allocate, write-back cache of line size L words):
 //
@@ -27,11 +25,7 @@
 // footprint outgrows the cache.
 package model
 
-import (
-	"fmt"
-
-	"tessellate/internal/core"
-)
+import "tessellate/internal/core"
 
 // BytesPerWord is the float64 size.
 const BytesPerWord = 8
@@ -69,66 +63,4 @@ func FootprintBytes(cfg *core.Config) int64 {
 		v *= int64(cfg.Big[k] + 2*cfg.Slopes[k])
 	}
 	return 2 * BytesPerWord * v
-}
-
-// Select proposes a tessellation configuration for the given domain,
-// slopes and cache capacity: the largest uniform Big whose block
-// footprint fits in half the cache (leaving room for two blocks in
-// flight), with BT at its legality limit Big/(2*slope) halved once for
-// the coarsening margin. It is the analytic analogue of
-// autotune.Search.
-func Select(n, slopes []int, cacheBytes int) (core.Config, error) {
-	d := len(n)
-	if d == 0 || len(slopes) != d {
-		return core.Config{}, fmt.Errorf("model: bad shape n=%v slopes=%v", n, slopes)
-	}
-	big := 4
-	for {
-		cand := big + 4
-		v := int64(1)
-		for k := 0; k < d; k++ {
-			v *= int64(cand + 2*slopes[k])
-		}
-		if 2*BytesPerWord*v > int64(cacheBytes)/2 {
-			break
-		}
-		tooWide := false
-		for k := 0; k < d; k++ {
-			if cand*slopes[k] > n[k]/2 {
-				tooWide = true
-				break
-			}
-		}
-		if tooWide {
-			break
-		}
-		big = cand
-	}
-	maxSlope := 1
-	for _, s := range slopes {
-		if s > maxSlope {
-			maxSlope = s
-		}
-	}
-	bt := big / (4 * maxSlope)
-	if bt < 1 {
-		bt = 1
-	}
-	cfg := core.Config{
-		N:      append([]int(nil), n...),
-		Slopes: append([]int(nil), slopes...),
-		BT:     bt,
-		Big:    make([]int, d),
-		Merge:  true,
-	}
-	for k := 0; k < d; k++ {
-		cfg.Big[k] = big * slopes[k]
-		if cfg.Big[k] < 2*bt*slopes[k] {
-			cfg.Big[k] = 2 * bt * slopes[k]
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return core.Config{}, err
-	}
-	return cfg, nil
 }

@@ -66,53 +66,6 @@ func TestFootprintBytes(t *testing.T) {
 	}
 }
 
-// The analytic selector must produce a legal configuration whose
-// footprint fits the cache budget, and larger caches must yield deeper
-// time tiles.
-func TestSelect(t *testing.T) {
-	small, err := Select([]int{512, 512, 512}, []int{1, 1, 1}, 256*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := small.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if FootprintBytes(&small) > 256*1024/2 {
-		t.Fatalf("selected footprint %d exceeds budget", FootprintBytes(&small))
-	}
-	big, err := Select([]int{512, 512, 512}, []int{1, 1, 1}, 16*1024*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.BT <= small.BT {
-		t.Fatalf("larger cache should deepen the time tile: %d <= %d", big.BT, small.BT)
-	}
-
-	// High-order: legality must hold with slope 2.
-	ho, err := Select([]int{100000}, []int{2}, 1024*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ho.Big[0] < 2*ho.BT*2 {
-		t.Fatalf("selected config illegal for slope 2: %+v", ho)
-	}
-
-	if _, err := Select(nil, nil, 1024); err == nil {
-		t.Fatal("empty shape accepted")
-	}
-}
-
-// The selected configuration must actually run and validate.
-func TestSelectedConfigValidates(t *testing.T) {
-	cfg, err := Select([]int{60, 60}, []int{1, 1}, 64*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.ValidateSchedule(&cfg, 2*cfg.BT+1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func within(a, b, factor float64) bool {
 	if a > b {
 		a, b = b, a
