@@ -1,83 +1,70 @@
 // Command stencilbench regenerates the paper's evaluation: Table 4
 // workloads, the scaling figures (8, 9, 10, 11a, 11b) and the Heat-3D
-// memory-performance figure (12), plus the ablation study of the
-// implementation's design choices.
+// memory-performance figure (12), plus the comparisons that claim a
+// ratio: the ablation of the implementation's design choices, kernel
+// dispatch paths, dispatch coarsening, placement, distributed halo
+// exchange, fused pipelines and masked domains.
 //
 // Usage:
 //
 //	stencilbench -list                 # print Table 4
 //	stencilbench -fig 10 -scale 16     # regenerate Figure 10 at 1/16 scale
 //	stencilbench -fig all -scale 32
-//	stencilbench -ablate               # coarsening / merging / tile-height ablation
+//	stencilbench -compare ablation     # merging / blocks / tile-height / overlapped ablation
+//	stencilbench -compare all -json BENCH_LEDGER.json   # every comparison, one ledger
 //	stencilbench -concurrency          # barriers & parallelism per scheme
 //	stencilbench -adaptive             # online re-tuning demo (pessimal seed vs adaptive)
-//	stencilbench -compare-placement    # dynamic vs sticky(+pin) scheduling comparison
-//	stencilbench -compare-kernels      # row vs fused block kernel dispatch comparison
-//	stencilbench -compare-coarsening   # none vs global vs per-stage dispatch coarsening
-//	stencilbench -compare-dist         # sync vs overlapped halo exchange over loopback TCP
-//	stencilbench -pipeline             # fused multi-stage pipelines vs the naive reference
-//	stencilbench -mask                 # masked (irregular-domain) runs vs the naive reference
 //	stencilbench -paper -fig 8         # full paper problem sizes (hours!)
 //	stencilbench -threads 1,2,4,8      # thread sweep points
 //	stencilbench -fig 10 -coarsen-per-stage 8,2   # fixed per-stage coarsening vector
 //
+// -compare runs one experiment of bench.Experiments by name (ablation,
+// kernels, coarsening, placement, dist, pipeline, mask) or all of
+// them. Each case runs a checked warm-up per variant, then
+// bench.Rounds rounds that rotate which variant goes first; every
+// round's checksums must match the case's reference variant bitwise,
+// or the run fails. Rows report the median and interquartile range of
+// the rounds and the ratio to the reference; -json writes them with
+// the host and commit as a ledger (the schema of BENCH_LEDGER.json).
+//
 // Scheduling & placement (see DESIGN.md §Scheduling & placement):
 //
 //	stencilbench -fig 10 -sticky -pin       # sticky block→worker mapping on pinned workers
-//	stencilbench -compare-placement -json BENCH_PAR.json
+//	stencilbench -compare placement         # naive vs dynamic vs sticky(+pin)
 //
 // Observability (see DESIGN.md §Observability):
 //
 //	stencilbench -fig 10 -telemetry :8080   # serve /metrics, /trace, /debug/pprof
 //	stencilbench -fig 11a -trace out.json   # dump a Chrome trace of the run
 //
-// Flag matrix — exactly one mode flag per invocation, and the
-// modifiers each mode accepts:
+// Flag matrix — one mode per invocation, and the modifiers each mode
+// accepts:
 //
-//	mode                 | -scale/-paper  -threads  -csv  -pin/-sticky  -telemetry/-trace
-//	-list                |      no           no      no        no              no
-//	-fig <one>           |     yes          yes     yes       yes             yes
-//	-fig all             |     yes          yes      no       yes             yes
-//	-ablate              |     yes          yes      no       yes             yes
-//	-concurrency         |     yes           no      no        no             yes
-//	-adaptive            |     yes          yes      no       yes             yes
-//	-compare-placement   |     yes          yes      no        no             yes
-//	-compare-kernels     |     yes          yes      no       yes             yes
-//	-compare-coarsening  |     yes          yes      no       yes             yes
-//	-compare-dist        |     yes          yes      no        no             yes
-//	-pipeline            |     yes          yes      no        no             yes
-//	-mask                |     yes          yes      no        no             yes
+//	mode          | -scale/-paper  -threads  -csv  -json  -pin/-sticky  -coarsen-per-stage  -telemetry/-trace
+//	-list         |      no           no      no     no        no               no                 no
+//	-fig <one>    |     yes          yes     yes     no       yes              yes                yes
+//	-fig all      |     yes          yes      no     no       yes              yes                yes
+//	-compare      |     yes          yes      no    yes        no               no                yes
+//	-concurrency  |     yes           no      no     no        no               no                yes
+//	-adaptive     |     yes          yes      no     no       yes              yes                yes
 //
 // -csv needs a single -fig to name the measurement sweep it exports;
-// combining it with -list, -ablate, -concurrency, -adaptive or
+// combining it with -list, -compare, -concurrency, -adaptive or
 // -fig all is an error rather than a silent no-op. -drift and
 // -interval tune the -adaptive controller and are ignored elsewhere.
-// -pin/-sticky apply the placement knobs to every measurement of the
-// run; -compare-placement measures all placements itself, so the knobs
-// are rejected there, and -json names its machine-readable output
-// (the BENCH_PAR.json schema). -compare-kernels measures the row vs
-// fused-block kernel dispatch paths (BENCH_KERNELS.json schema) and
-// enforces bitwise checksum agreement between them.
-// -pipeline measures the fused multi-stage pipeline executor against
-// the barriered naive reference (rk2, split high-order and leapfrog
-// steppers; BENCH_PIPELINE.json schema, checksums enforced bitwise);
-// -mask does the same for the masked executors on L-shaped and
-// obstacle domains (BENCH_MASK.json schema).
-// -compare-dist measures the synchronous vs overlapped distributed
-// halo exchange over loopback TCP at 2 and 4 ranks, bare and with
-// injected per-message latency (BENCH_DIST.json schema, every cell's
-// checksum enforced bitwise against a single-rank run).
-// -coarsen-per-stage applies a fixed per-stage dispatch coarsening
-// vector (comma-separated factors, entry i for stage-i regions;
-// see Options.CoarsenPerStage) to every tessellation measurement of
-// the run; -compare-coarsening measures the uncoarsened, best-global
-// and autotuned per-stage variants itself (BENCH_COARSEN.json schema,
-// checksums enforced across variants), so the knob is rejected there.
+// -pin/-sticky apply the placement knobs, and -coarsen-per-stage a
+// fixed per-stage dispatch coarsening vector (comma-separated factors,
+// entry i for stage-i regions; see Options.CoarsenPerStage), to every
+// measurement of the run. -compare's case tables set placement and
+// coarsening per variant themselves, so those knobs are rejected
+// there. -compare takes the last -threads entry.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -96,7 +83,7 @@ func main() {
 		paper   = flag.Bool("paper", false, "use full paper problem sizes (overrides -scale)")
 		threads = flag.String("threads", "", "comma-separated thread counts (default 1..GOMAXPROCS doubling)")
 		list    = flag.Bool("list", false, "print the Table 4 workloads and exit")
-		ablate  = flag.Bool("ablate", false, "run the ablation study")
+		compare = flag.String("compare", "", "run a comparison experiment (ablation, kernels, coarsening, placement, dist, pipeline, mask) or all")
 		conc    = flag.Bool("concurrency", false, "print the concurrency/synchronization profile of the schemes")
 		adapt   = flag.Bool("adaptive", false, "run the online re-tuning demo (heat-2d, pessimal seed vs adaptive)")
 		drift   = flag.Float64("drift", 0.5, "adaptive: relative mean-shift threshold that triggers a re-tune")
@@ -104,14 +91,8 @@ func main() {
 		csvOut  = flag.String("csv", "", "write a figure's measurements as CSV to this file (requires a single -fig)")
 		pin     = flag.Bool("pin", false, "pin pool workers to CPU cores (linux; degrades to a no-op elsewhere)")
 		sticky  = flag.Bool("sticky", false, "use the sticky (static) block→worker mapping with work-stealing")
-		cmpPl   = flag.Bool("compare-placement", false, "compare dynamic vs sticky(+pin) scheduling on Heat-2D/3D and sweep dispatch overhead")
-		cmpKr   = flag.Bool("compare-kernels", false, "compare row vs fused block kernel dispatch on Heat-2D/3D plus a short-row sweep")
-		cmpCo   = flag.Bool("compare-coarsening", false, "compare uncoarsened vs best-global vs per-stage dispatch coarsening on Heat-2D/3D plus a fine-grain sweep")
-		cmpDs   = flag.Bool("compare-dist", false, "compare sync vs overlapped halo exchange over loopback TCP at 2/4 ranks, bare and latency-padded")
-		pipe    = flag.Bool("pipeline", false, "compare the fused multi-stage pipeline executor vs the naive reference (rk2/split/leapfrog over heat-2d, checksums enforced)")
-		mask    = flag.Bool("mask", false, "compare the masked (irregular-domain) executors vs the naive reference (lshape/obstacle, checksums enforced)")
 		coarsen = flag.String("coarsen-per-stage", "", "comma-separated per-stage dispatch coarsening factors applied to tessellation measurements (entry i = stage i)")
-		jsonOut = flag.String("json", "", "compare-placement/-compare-kernels/-compare-coarsening: also write the report as JSON to this file")
+		jsonOut = flag.String("json", "", "-compare: also write the rows, host and commit as a JSON ledger to this file")
 		telAddr = flag.String("telemetry", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. :8080) and enable instrumentation")
 		traceTo = flag.String("trace", "", "write a Chrome trace_event JSON dump of the run to this file (enables instrumentation)")
 	)
@@ -124,22 +105,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *csvOut != "" && (*fig == "" || *fig == "all" || *list || *ablate || *conc || *adapt || *cmpPl || *cmpKr || *cmpCo || *cmpDs || *pipe || *mask) {
-		fatal(fmt.Errorf("-csv requires a single -fig (8, 9, 10, 11a, 11b or 12); it cannot be combined with -list, -ablate, -concurrency, -adaptive, -compare-placement, -compare-kernels, -compare-coarsening, -compare-dist or -fig all"))
+	if *csvOut != "" && (*fig == "" || *fig == "all" || *list || *compare != "" || *conc || *adapt) {
+		fatal(fmt.Errorf("-csv requires a single -fig (8, 9, 10, 11a, 11b or 12); it cannot be combined with -list, -compare, -concurrency, -adaptive or -fig all"))
 	}
-	if *cmpPl && (*pin || *sticky) {
-		fatal(fmt.Errorf("-compare-placement measures every placement itself; -pin/-sticky cannot be combined with it"))
+	if *compare != "" && (*pin || *sticky || *coarsen != "") {
+		fatal(fmt.Errorf("-compare sets placement and coarsening per variant; -pin, -sticky and -coarsen-per-stage cannot be combined with it"))
 	}
-	if moreThanOne(*cmpKr, *cmpPl, *cmpCo, *cmpDs, *pipe, *mask) {
-		fatal(fmt.Errorf("-compare-kernels, -compare-placement, -compare-coarsening, -compare-dist, -pipeline and -mask are separate modes; pick one"))
-	}
-	if *jsonOut != "" && !*cmpPl && !*cmpKr && !*cmpCo && !*cmpDs && !*pipe && !*mask {
-		fatal(fmt.Errorf("-json is only meaningful with -compare-placement, -compare-kernels, -compare-coarsening, -compare-dist, -pipeline or -mask"))
+	if *jsonOut != "" && *compare == "" {
+		fatal(fmt.Errorf("-json is only meaningful with -compare"))
 	}
 	if *coarsen != "" {
-		if *cmpCo {
-			fatal(fmt.Errorf("-compare-coarsening measures every coarsening variant itself; -coarsen-per-stage cannot be combined with it"))
-		}
 		per, err := parseCoarsening(*coarsen)
 		if err != nil {
 			fatal(err)
@@ -172,36 +147,12 @@ func main() {
 				fmt.Println()
 			}
 		}
-	case *ablate:
-		if err := bench.RunAblation(os.Stdout, *scale, ths[len(ths)-1]); err != nil {
+	case *compare != "":
+		if err := runCompare(os.Stdout, *compare, *scale, ths[len(ths)-1], *jsonOut); err != nil {
 			fatal(err)
 		}
 	case *adapt:
 		if err := runAdaptiveDemo(os.Stdout, *scale, ths[len(ths)-1], *drift, *interva); err != nil {
-			fatal(err)
-		}
-	case *cmpPl:
-		if err := runComparePlacement(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *cmpKr:
-		if err := runCompareKernels(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *cmpCo:
-		if err := runCompareCoarsening(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *cmpDs:
-		if err := runCompareDist(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *pipe:
-		if err := runComparePipelines(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *mask:
-		if err := runCompareMasks(os.Stdout, *scale, ths[len(ths)-1], *jsonOut); err != nil {
 			fatal(err)
 		}
 	case *fig == "all":
@@ -273,17 +224,6 @@ func parseThreads(s string) ([]int, error) {
 	return out, nil
 }
 
-// moreThanOne reports whether more than one of the flags is set.
-func moreThanOne(flags ...bool) bool {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n > 1
-}
-
 func parseCoarsening(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
@@ -294,6 +234,60 @@ func parseCoarsening(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// runCompare runs the named experiment, or every one for "all",
+// printing one table per experiment, and writes the ledger as JSON to
+// jsonPath unless it is empty.
+func runCompare(w io.Writer, name string, scale, threads int, jsonPath string) error {
+	var exps []bench.Experiment
+	var names []string
+	for _, e := range bench.Experiments {
+		if name == "all" || name == e.Name {
+			exps = append(exps, e)
+		}
+		names = append(names, e.Name)
+	}
+	if len(exps) == 0 {
+		return fmt.Errorf("unknown -compare %q (want all, %s)", name, strings.Join(names, ", "))
+	}
+	led := bench.NewLedger(scale, threads)
+	fmt.Fprintf(w, "commit %s, %s, GOMAXPROCS %d, cpu features %s\n",
+		led.Commit, led.Host.GoVersion, led.Host.GOMAXPROCS, led.Host.CPUFeatures)
+	for _, e := range exps {
+		rows, err := e.Run(scale, threads, bench.Rounds)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n# %s: 1/%d scale, %d threads, median and IQR of %d rounds, checksums bitwise-equal to the first variant\n",
+			e.Name, scale, threads, bench.Rounds)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "workload\tvariant\tmedian s\tIQR s\tMLUP/s\tratio")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%s\t%.4f\t%.4f\t%.1f\t%.3fx\n",
+				r.Workload, r.Variant, r.Seconds, r.SecondsIQR, r.MUpdates, r.Ratio)
+		}
+		tw.Flush()
+		led.Rows = append(led.Rows, rows...)
+	}
+	if jsonPath == "" {
+		return nil
+	}
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(led); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nwrote %d rows to %s\n", len(led.Rows), jsonPath)
+	return nil
 }
 
 func printTable4() {

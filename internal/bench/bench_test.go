@@ -128,13 +128,24 @@ func TestAblationSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is slow")
 	}
-	var buf bytes.Buffer
-	if err := RunAblation(&buf, 128, 2); err != nil {
+	var ablation Experiment
+	for _, e := range Experiments {
+		if e.Name == "ablation" {
+			ablation = e
+		}
+	}
+	rows, err := ablation.Run(128, 2, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"merged", "unmerged", "coarsened"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, buf.String())
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.Variant)
+	}
+	got := strings.Join(names, "|")
+	for _, want := range []string{"merged", "unmerged", "uniform blocks", "half BT", "double BT", "overlapped"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("ablation variants %q missing %q", got, want)
 		}
 	}
 }

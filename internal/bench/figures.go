@@ -5,10 +5,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
-	"time"
 
 	"tessellate"
-	"tessellate/internal/overlap"
 )
 
 // FigureSchemes lists the schemes each paper figure compares. "pluto"
@@ -158,75 +156,4 @@ func PrintSweep(out io.Writer, ms []Measurement) {
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
-}
-
-// RunAblation benchmarks the design choices DESIGN.md calls out on a
-// scaled heat-2d workload: B_d+B_0 merging on/off, time-tile height
-// sweep, and coarsened (asymmetric) vs uniform block sizes.
-func RunAblation(out io.Writer, scale, threads int) error {
-	w := ByFigure("10")[0].Scaled(scale)
-	fmt.Fprintf(out, "# Ablation on %s (threads=%d)\n", w, threads)
-	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "variant\tMUpdates/s\tseconds")
-	variants := []struct {
-		label string
-		opt   tessellate.Options
-	}{
-		{"merged (paper §4.3)", tessellate.Options{TimeTile: w.TessBT, Block: w.TessBig}},
-		{"unmerged", tessellate.Options{TimeTile: w.TessBT, Block: w.TessBig, NoMerge: true}},
-		{"coarsened 2:1 blocks (paper §4.2)", tessellate.Options{TimeTile: w.TessBT, Block: []int{w.TessBig[0], 2 * w.TessBig[0]}}},
-		{"uniform blocks", tessellate.Options{TimeTile: w.TessBT, Block: []int{w.TessBig[0], w.TessBig[0]}}},
-		{"half time tile", tessellate.Options{TimeTile: maxInt(w.TessBT/2, 1), Block: w.TessBig}},
-		{"double time tile", tessellate.Options{TimeTile: 2 * w.TessBT, Block: []int{4 * w.TessBT * 2, 4 * w.TessBT * 2}}},
-	}
-	for _, v := range variants {
-		m, err := measureWithOptions(w, v.opt, threads)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.3f\n", v.label, m.MUpdates, m.Seconds)
-	}
-	// Redundancy-free vs redundant: the overlapped-tiling alternative
-	// the paper's introduction argues against, with its modelled
-	// recomputation factor.
-	om, err := Run(w, tessellate.Overlapped, threads)
-	if err != nil {
-		return err
-	}
-	ocfg := overlap.Config{BT: w.TessBT, BX: []int{16 * w.TessBT, 16 * w.TessBT}}
-	fmt.Fprintf(tw, "overlapped tiling (%.2fx redundant work)\t%.1f\t%.3f\n",
-		ocfg.RedundancyFactor([]int{1, 1}), om.MUpdates, om.Seconds)
-	return tw.Flush()
-}
-
-// measureWithOptions times the tessellation scheme with explicit
-// options on workload w.
-func measureWithOptions(w Workload, opt tessellate.Options, threads int) (Measurement, error) {
-	w2 := w
-	w2.TessBT = opt.TimeTile
-	if len(opt.Block) > 0 {
-		w2.TessBig = opt.Block
-	}
-	// Run through the standard path, but honour NoMerge by building the
-	// options directly.
-	spec, err := tessellate.StencilByName(w.Kernel)
-	if err != nil {
-		return Measurement{}, err
-	}
-	eng := tessellate.NewEngine(threads)
-	defer eng.Close()
-	g := tessellate.NewGrid2D(w.N[0], w.N[1], spec.Slopes[0], spec.Slopes[1])
-	seed2D(g, w.Kernel)
-	start := time.Now()
-	if err := eng.Run2D(g, spec, w.Steps, opt); err != nil {
-		return Measurement{}, err
-	}
-	secs := time.Since(start).Seconds()
-	updates := float64(w.Updates())
-	return Measurement{
-		Workload: w.String(), Kernel: w.Kernel, Scheme: "tessellation", Threads: threads,
-		Seconds: secs, MUpdates: updates / secs / 1e6,
-		GFlops:   updates * float64(spec.Flops) / secs / 1e9,
-		Checksum: checksum2D(g),
-	}, nil
 }

@@ -101,57 +101,14 @@ func RunPlaced(w Workload, scheme tessellate.Scheme, threads int, p Placement) (
 	if err != nil {
 		return Measurement{}, err
 	}
-	eng := tessellate.NewEngineOpts(tessellate.EngineOptions{
-		Threads: threads, Pin: p.Pin, Sticky: p.Sticky,
-	})
-	defer eng.Close()
 	opt := w.Options(scheme)
 	if scheme == tessellate.Tessellation && len(defaultCoarsening) > 0 {
 		opt.CoarsenPerStage = append([]int(nil), defaultCoarsening...)
 	}
-
-	var run func() error
-	var sum func() float64
-	switch len(w.N) {
-	case 1:
-		var g *tessellate.Grid1D
-		if p.FirstTouch {
-			g = eng.AllocGrid1D(w.N[0], spec.MaxSlope())
-		} else {
-			g = tessellate.NewGrid1D(w.N[0], spec.MaxSlope())
-		}
-		seed1D(g, w.Kernel)
-		run = func() error { return eng.Run1D(g, spec, w.Steps, opt) }
-		sum = func() float64 { return checksum1D(g) }
-	case 2:
-		var g *tessellate.Grid2D
-		if p.FirstTouch {
-			g = eng.AllocGrid2D(w.N[0], w.N[1], spec.Slopes[0], spec.Slopes[1])
-		} else {
-			g = tessellate.NewGrid2D(w.N[0], w.N[1], spec.Slopes[0], spec.Slopes[1])
-		}
-		seed2D(g, w.Kernel)
-		run = func() error { return eng.Run2D(g, spec, w.Steps, opt) }
-		sum = func() float64 { return checksum2D(g) }
-	case 3:
-		var g *tessellate.Grid3D
-		if p.FirstTouch {
-			g = eng.AllocGrid3D(w.N[0], w.N[1], w.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
-		} else {
-			g = tessellate.NewGrid3D(w.N[0], w.N[1], w.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
-		}
-		seed3D(g, w.Kernel)
-		run = func() error { return eng.Run3D(g, spec, w.Steps, opt) }
-		sum = func() float64 { return checksum3D(g) }
-	default:
-		return Measurement{}, fmt.Errorf("bench: unsupported rank %d", len(w.N))
+	secs, sum, err := runOnce(w, opt, threads, p, nil)
+	if err != nil {
+		return Measurement{}, err
 	}
-
-	start := time.Now()
-	if err := run(); err != nil {
-		return Measurement{}, fmt.Errorf("bench: %s/%v: %w", w, scheme, err)
-	}
-	secs := time.Since(start).Seconds()
 	updates := float64(w.Updates())
 	m := Measurement{
 		Workload: w.String(),
@@ -161,10 +118,75 @@ func RunPlaced(w Workload, scheme tessellate.Scheme, threads int, p Placement) (
 		Seconds:  secs,
 		MUpdates: updates / secs / 1e6,
 		GFlops:   updates * float64(spec.Flops) / secs / 1e9,
-		Checksum: sum(),
+		Checksum: sum,
 	}
-	m.export(start)
+	m.export(time.Now().Add(-time.Duration(secs * 1e9)))
 	return m, nil
+}
+
+// runOnce runs w under opt on a fresh engine with placement p, over
+// the whole domain or, when m is non-nil, the active cells of m (2D
+// and 3D only). The grid is freshly allocated and seeded per kernel,
+// so every scheme sees identical input; only the run itself is timed.
+// It returns the run's seconds and the output's checksum.
+func runOnce(w Workload, opt tessellate.Options, threads int, p Placement, m *tessellate.Mask) (float64, float64, error) {
+	spec, err := tessellate.StencilByName(w.Kernel)
+	if err != nil {
+		return 0, 0, err
+	}
+	eng := tessellate.NewEngineOpts(tessellate.EngineOptions{
+		Threads: threads, Pin: p.Pin, Sticky: p.Sticky,
+	})
+	defer eng.Close()
+
+	var run func() error
+	var sum func() float64
+	switch {
+	case len(w.N) == 1 && m == nil:
+		var g *tessellate.Grid1D
+		if p.FirstTouch {
+			g = eng.AllocGrid1D(w.N[0], spec.MaxSlope())
+		} else {
+			g = tessellate.NewGrid1D(w.N[0], spec.MaxSlope())
+		}
+		seed1D(g, w.Kernel)
+		run = func() error { return eng.Run1D(g, spec, w.Steps, opt) }
+		sum = func() float64 { return checksum1D(g) }
+	case len(w.N) == 2:
+		var g *tessellate.Grid2D
+		if p.FirstTouch {
+			g = eng.AllocGrid2D(w.N[0], w.N[1], spec.Slopes[0], spec.Slopes[1])
+		} else {
+			g = tessellate.NewGrid2D(w.N[0], w.N[1], spec.Slopes[0], spec.Slopes[1])
+		}
+		seed2D(g, w.Kernel)
+		run = func() error { return eng.Run2D(g, spec, w.Steps, opt) }
+		if m != nil {
+			run = func() error { return eng.RunMasked2D(g, spec, w.Steps, m, opt) }
+		}
+		sum = func() float64 { return checksum2D(g) }
+	case len(w.N) == 3:
+		var g *tessellate.Grid3D
+		if p.FirstTouch {
+			g = eng.AllocGrid3D(w.N[0], w.N[1], w.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
+		} else {
+			g = tessellate.NewGrid3D(w.N[0], w.N[1], w.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
+		}
+		seed3D(g, w.Kernel)
+		run = func() error { return eng.Run3D(g, spec, w.Steps, opt) }
+		if m != nil {
+			run = func() error { return eng.RunMasked3D(g, spec, w.Steps, m, opt) }
+		}
+		sum = func() float64 { return checksum3D(g) }
+	default:
+		return 0, 0, fmt.Errorf("bench: unsupported rank %d (masked: %v)", len(w.N), m != nil)
+	}
+
+	start := time.Now()
+	if err := run(); err != nil {
+		return 0, 0, fmt.Errorf("bench: %s/%v: %w", w, opt.Scheme, err)
+	}
+	return time.Since(start).Seconds(), sum(), nil
 }
 
 // export publishes the measurement to the telemetry registry and
@@ -269,6 +291,14 @@ func seed2D(g *grid.Grid2D, kernel string) {
 		g.SetBoundary(0)
 		return
 	}
+	g.Fill(func(x, y int) float64 { return rng.Float64() })
+	g.SetBoundary(1)
+}
+
+// seedPipeline2D seeds a pipeline grid deterministically per pipeline
+// name and round, like seed2D does per kernel.
+func seedPipeline2D(g *grid.Grid2D, name string, round int) {
+	rng := rand.New(rand.NewSource(int64(len(name))<<8 + int64(round)))
 	g.Fill(func(x, y int) float64 { return rng.Float64() })
 	g.SetBoundary(1)
 }
