@@ -3,7 +3,8 @@
 // generated schedule on an update-count grid and verifies exactly-once
 // coverage per time step, the Jacobi dependence condition, and safety
 // under any intra-region interleaving. With -fuzz it validates many
-// random configurations instead.
+// random configurations instead, about a third of them periodic (each
+// extent a multiple of the lattice period, coordinates wrapping mod N).
 //
 // Usage:
 //
@@ -119,17 +120,23 @@ func fuzzConfigs(iters int, seed int64) error {
 	for i := 0; i < iters; i++ {
 		d := 1 + rng.Intn(3)
 		cfg := core.Config{
-			N:      make([]int, d),
-			Slopes: make([]int, d),
-			Big:    make([]int, d),
-			BT:     1 + rng.Intn(4),
-			Merge:  rng.Intn(2) == 0,
+			N:        make([]int, d),
+			Slopes:   make([]int, d),
+			Big:      make([]int, d),
+			BT:       1 + rng.Intn(4),
+			Merge:    rng.Intn(2) == 0,
+			Periodic: rng.Intn(3) == 0,
 		}
 		for k := 0; k < d; k++ {
 			cfg.Slopes[k] = 1 + rng.Intn(2)/d // slope 2 only in 1D to bound cost
 			minBig := 2 * cfg.BT * cfg.Slopes[k]
 			cfg.Big[k] = minBig + rng.Intn(minBig+4)
 			cfg.N[k] = 3 + rng.Intn(90/d)
+			if cfg.Periodic {
+				// One to 4-d lattice periods: a periodic extent must be
+				// a multiple of the period.
+				cfg.N[k] = cfg.Spacing(k) * (1 + rng.Intn(4-d))
+			}
 		}
 		steps := 1 + rng.Intn(3*cfg.BT+3)
 		if err := core.ValidateSchedule(&cfg, steps); err != nil {

@@ -57,10 +57,6 @@ type OnlineConfig struct {
 	// re-tiling to a coarser grain can absorb. 0 disables the
 	// dispatch-latency trigger (the default).
 	DispatchThreshold float64
-	// EqualizeGrain makes every (re-)tune follow the winning (BT, Big)
-	// search with an EqualizeCoarsening pass, adopting the resulting
-	// per-stage coarsening vector alongside the tiles.
-	EqualizeGrain bool
 }
 
 func (c *OnlineConfig) defaults() {
@@ -307,16 +303,6 @@ func (c *Controller) research(b tessellate.PhaseBoundary, ev Event) (tessellate.
 			if tr.MUpdates > bestRate {
 				best, bestRate = tr.Options, tr.MUpdates
 			}
-		}
-	}
-
-	if ok && c.cfg.EqualizeGrain {
-		// Tiles are settled; level the per-stage dispatch grain on top
-		// of the winner. A failed equalization keeps factors at 1
-		// rather than aborting the re-tune.
-		if res, err := EqualizeCoarsening(c.eng, c.spec, c.dims, best,
-			CoarsenBudget{MinSteps: c.cfg.MinSteps}); err == nil {
-			best.CoarsenPerStage = res.PerStage
 		}
 	}
 

@@ -239,3 +239,91 @@ func TestControllerGuards(t *testing.T) {
 		t.Fatal("controller re-tiled on an empty window")
 	}
 }
+
+// dispatchInjector wraps a Retuner and feeds synthetic samples into
+// the pool dispatch-latency histogram before every consultation: a low
+// steady latency up to slowAfter steps, a 10x latency beyond it. With
+// a single-threaded engine the serial fast path records no natural
+// dispatch samples, so the injected distribution is exactly what the
+// controller sees.
+type dispatchInjector struct {
+	inner     tessellate.Retuner
+	slowAfter int
+}
+
+func (d *dispatchInjector) Phases() int { return d.inner.Phases() }
+
+func (d *dispatchInjector) Retune(b tessellate.PhaseBoundary) (tessellate.Options, bool) {
+	lat := 50e-6
+	if b.StepsDone >= d.slowAfter {
+		lat = 500e-6
+	}
+	for i := 0; i < 32; i++ {
+		telemetry.PoolDispatchSeconds.Observe(lat)
+	}
+	return d.inner.Retune(b)
+}
+
+// Rising dispatch latency alone — stage durations stable — must trip
+// the detector exactly once, with the event attributed to the
+// dispatch trigger: after the re-tune the dispatch baseline is
+// re-established under the new latency regime, so the steady slow
+// state is not drift.
+func TestControllerDispatchDriftTriggersExactlyOneRetune(t *testing.T) {
+	const nx, ny, steps = 64, 64, 40
+	dims := []int{nx, ny}
+	eng := tessellate.NewEngine(1)
+	defer eng.Close()
+
+	ctrl := NewController(eng, tessellate.Heat2D, dims, OnlineConfig{
+		Interval:          2,
+		Threshold:         100, // stage trigger effectively off
+		DispatchThreshold: 1.0, // re-tune on a 2x dispatch-latency shift
+		MinSamples:        4,
+		MaxRetunes:        5, // well above 1: the detector must stop on its own
+		Trials:            4,
+		MinSteps:          8,
+	})
+	defer telemetry.Disable()
+
+	seed := tessellate.Options{TimeTile: 2, Block: []int{8, 8}}
+	wrapper := &dispatchInjector{inner: ctrl, slowAfter: 8}
+
+	g := tessellate.NewGrid2D(nx, ny, 1, 1)
+	g.Fill(func(x, y int) float64 { return float64((3*x+5*y)%23) * 0.125 })
+	ref := g.Clone()
+
+	if err := eng.RunAdaptive2D(g, tessellate.Heat2D, steps, seed, wrapper); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := ctrl.Retunes(); got != 1 {
+		t.Fatalf("controller re-tuned %d times (events %+v), want exactly 1", got, ctrl.Events())
+	}
+	evs := ctrl.Events()
+	if len(evs) != 1 {
+		t.Fatalf("%d events, want 1", len(evs))
+	}
+	ev := evs[0]
+	if ev.Cause != "dispatch" {
+		t.Fatalf("re-tune cause %q, want \"dispatch\" (event %+v)", ev.Cause, ev)
+	}
+	if ev.DispatchMean <= ev.DispatchBaseline {
+		t.Fatalf("dispatch window mean %g not above baseline %g", ev.DispatchMean, ev.DispatchBaseline)
+	}
+	if ev.DispatchBaseline <= 0 {
+		t.Fatal("dispatch baseline was never established")
+	}
+
+	// The injected latency is synthetic; the run itself must be exact.
+	if err := eng.Run2D(ref, tessellate.Heat2D, steps, tessellate.Options{Scheme: tessellate.Naive}); err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < nx; x++ {
+		for y := 0; y < ny; y++ {
+			if g.At(x, y) != ref.At(x, y) {
+				t.Fatalf("adaptive run diverged from naive at (%d,%d)", x, y)
+			}
+		}
+	}
+}

@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"tessellate"
-	"tessellate/internal/autotune"
 	"tessellate/internal/core"
 	"tessellate/internal/dist"
 	"tessellate/internal/grid"
 	"tessellate/internal/overlap"
 	"tessellate/internal/stencil"
-	"tessellate/internal/telemetry"
 )
 
 // Experiments are stencilbench's case tables, in the order -compare
@@ -124,43 +122,23 @@ func kernelCases(scale, threads int) ([]Case, error) {
 }
 
 // coarseningCases measures §4.2's dispatch coarsening on one
-// tessellation schedule: uncoarsened, each uniform factor, and the
-// per-stage vector the telemetry-driven equalizer picks, plus a
+// tessellation schedule: uncoarsened and each uniform factor, plus a
 // fine-grain sweep whose tiny blocks make per-block dispatch the
 // dominant cost. Coarsening regroups dispatch, never geometry, so
 // every variant agrees bitwise.
 func coarseningCases(scale, threads int) ([]Case, error) {
-	// The equalizer enables telemetry; keep the measurements that
-	// follow as uninstrumented as the caller left them.
-	if !telemetry.Enabled() {
-		defer telemetry.Disable()
-	}
 	fine := []Workload{
 		{Figure: "coarse", Kernel: "heat-2d", N: []int{1024, 1024}, Steps: 64, TessBT: 2, TessBig: []int{8, 8}},
 		{Figure: "coarse", Kernel: "heat-3d", N: []int{96, 96, 96}, Steps: 16, TessBT: 1, TessBig: []int{4, 4, 4}},
 	}
 	var cases []Case
 	for _, w := range []Workload{fig10(scale), fig11a(scale), fine[0].shrunk(scale), fine[1].shrunk(scale)} {
-		spec, err := tessellate.StencilByName(w.Kernel)
-		if err != nil {
-			return nil, err
-		}
 		opt := w.Options(tessellate.Tessellation)
-		eng := tessellate.NewEngine(threads)
-		eq, err := autotune.EqualizeCoarsening(eng, spec, w.N, opt, autotune.CoarsenBudget{})
-		eng.Close()
-		if err != nil {
-			return nil, err
-		}
 		c := workloadCase(w, tessVariant("none", w, opt, threads))
-		for _, per := range [][]int{{4}, {16}, {64}, eq.PerStage} {
-			name := fmt.Sprintf("global %d", per[0])
-			if len(per) > 1 {
-				name = fmt.Sprintf("per-stage %v", per)
-			}
+		for _, f := range []int{4, 16, 64} {
 			o := opt
-			o.CoarsenPerStage = per
-			c.Variants = append(c.Variants, tessVariant(name, w, o, threads))
+			o.CoarsenPerStage = []int{f}
+			c.Variants = append(c.Variants, tessVariant(fmt.Sprintf("global %d", f), w, o, threads))
 		}
 		cases = append(cases, c)
 	}

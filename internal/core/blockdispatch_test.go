@@ -157,8 +157,8 @@ func TestSIMDDispatchMatchesRow2D(t *testing.T) {
 	}
 }
 
-// The periodic executor's interior fast path (flat offsets, no wrap)
-// must agree bitwise with the always-wrap loop.
+// A periodic RunND's interior fast path (flat offsets, no wrap) must
+// agree bitwise with the always-wrap loop the row path takes.
 func TestBlockDispatchBitwisePeriodic(t *testing.T) {
 	defer SetKernelPath(KernelPath())
 	pool := par.NewPool(3)
@@ -184,12 +184,13 @@ func TestBlockDispatchBitwisePeriodic(t *testing.T) {
 		p := make([]int, tc.gs.Dims)
 		forEachPoint(tc.cfg.N, p, func() { b.Set(p, a.At(p)) })
 
+		sched := periodicSchedule(t, tc.cfg, 9)
 		SetKernelPath("block")
-		if err := RunNDPeriodic(a, tc.gs, 9, &tc.cfg, pool); err != nil {
+		if err := RunND(a, tc.gs, sched, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 		SetKernelPath("row")
-		if err := RunNDPeriodic(b, tc.gs, 9, &tc.cfg, pool); err != nil {
+		if err := RunND(b, tc.gs, sched, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 		forEachPoint(tc.cfg.N, p, func() {

@@ -79,8 +79,8 @@ func TestTasksSpanPartition(t *testing.T) {
 	}
 }
 
-// Regions and periodicRegions must resolve Stage and Group from the
-// config: Stage equals the popcount of every block's glued set, diamond
+// Regions must resolve Stage and Group from the config, merged,
+// periodic or unmerged: Stage equals the popcount of every block's glued set, diamond
 // regions take slot 0's factor, stage-i regions slot i's.
 func TestRegionsCarryStageAndGroup(t *testing.T) {
 	cfg := Config{
@@ -116,7 +116,9 @@ func TestRegionsCarryStageAndGroup(t *testing.T) {
 		}
 	}
 	check("merged", cfg.Regions(3*cfg.BT))
-	check("periodic", cfg.periodicRegions(3*cfg.BT))
+	per := cfg
+	per.Periodic = true
+	check("periodic", per.Regions(3*cfg.BT))
 	un := cfg
 	un.Merge = false
 	check("unmerged", un.Regions(3*cfg.BT))
@@ -203,7 +205,8 @@ func coarsenFuzzCase(a, b, c, d, e uint8) (Config, int) {
 // hoisted representative bounds for interior blocks, ClippedBounds for
 // the rest — and checks (a) the fast-path boxes are identical to the
 // clipping oracle and (b) every domain point is updated exactly once
-// per time step, in time order (Theorem 3.5).
+// per time step, in time order (Theorem 3.5), with coordinates wrapped
+// mod N on a periodic config.
 func replayGrouped(t *testing.T, cfg *Config, steps int) {
 	t.Helper()
 	d := cfg.Dims()
@@ -268,7 +271,11 @@ func replayGrouped(t *testing.T, cfg *Config, steps int) {
 					err := forBox(lo, hi, p, func() error {
 						i := 0
 						for k := 0; k < d; k++ {
-							i += p[k] * strides[k]
+							v := p[k]
+							if cfg.Periodic {
+								v = wrap(v, cfg.N[k])
+							}
+							i += v * strides[k]
 						}
 						if cnt[i] != tt {
 							t.Fatalf("region %d block %d: point %v updated to step %d but has count %d", ri, bi, p, tt+1, cnt[i])
@@ -294,71 +301,6 @@ func replayGrouped(t *testing.T, cfg *Config, steps int) {
 	}
 }
 
-// replayGroupedPeriodic is replayGrouped for the wrap-around schedule:
-// grouped dispatch over periodicRegions with coordinates wrapped mod N.
-func replayGroupedPeriodic(t *testing.T, cfg *Config, steps int) {
-	t.Helper()
-	d := cfg.Dims()
-	total := 1
-	strides := make([]int, d)
-	for k := d - 1; k >= 0; k-- {
-		strides[k] = total
-		total *= cfg.N[k]
-	}
-	cnt := make([]int, total)
-	lo, hi := make([]int, d), make([]int, d)
-	p := make([]int, d)
-	wrapFlat := func(p []int) int {
-		i := 0
-		for k, v := range p {
-			v %= cfg.N[k]
-			if v < 0 {
-				v += cfg.N[k]
-			}
-			i += v * strides[k]
-		}
-		return i
-	}
-	for ri, r := range cfg.periodicRegions(steps) {
-		prev := 0
-		for gi := 0; gi < r.Tasks(); gi++ {
-			b0, b1 := r.Span(gi)
-			if b0 != prev || b1 <= b0 || b1 > len(r.Blocks) {
-				t.Fatalf("periodic region %d: span %d = [%d,%d) after %d", ri, gi, b0, b1, prev)
-			}
-			prev = b1
-			for bi := b0; bi < b1; bi++ {
-				blk := &r.Blocks[bi]
-				for tt := r.T0; tt < r.T1; tt++ {
-					if !cfg.periodicBounds(&r, blk, tt, lo, hi) {
-						continue
-					}
-					err := forBox(lo, hi, p, func() error {
-						i := wrapFlat(p)
-						if cnt[i] != tt {
-							t.Fatalf("periodic region %d block %d: point %v updated to step %d but has count %d", ri, bi, p, tt+1, cnt[i])
-						}
-						cnt[i]++
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		if prev != len(r.Blocks) {
-			t.Fatalf("periodic region %d: spans cover %d of %d blocks", ri, prev, len(r.Blocks))
-		}
-	}
-	for i := range cnt {
-		if cnt[i] != steps {
-			unflat(i, strides, p, cfg.N)
-			t.Fatalf("periodic point %v finished with count %d, want %d", p, cnt[i], steps)
-		}
-	}
-}
-
 // FuzzCoarsenGeometry is the property harness for coarsened schedule
 // geometry: over randomized dimension counts, domain/tile sizes,
 // per-stage factor vectors and boundary handling, the grouped dispatch
@@ -376,16 +318,11 @@ func FuzzCoarsenGeometry(f *testing.F) {
 		cfg, steps := coarsenFuzzCase(a, b, c, d, e)
 		if pb&1 == 1 {
 			// Periodic wrap-around: stretch the domain to an exact
-			// multiple of the lattice period, as ValidatePeriodicConfig
-			// requires.
+			// multiple of the lattice period, as Validate requires.
+			cfg.Periodic = true
 			for k := range cfg.N {
 				cfg.N[k] = cfg.Spacing(k) * (1 + int(pb>>1)%2)
 			}
-			if err := ValidatePeriodicConfig(&cfg); err != nil {
-				t.Skip(err)
-			}
-			replayGroupedPeriodic(t, &cfg, steps)
-			return
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Skip(err)
@@ -405,14 +342,10 @@ func TestCoarsenGeometryQuick(t *testing.T) {
 		e, pb := uint8(rng.Intn(256)), uint8(rng.Intn(256))
 		cfg, steps := coarsenFuzzCase(a, b, c, d, e)
 		if pb&1 == 1 {
+			cfg.Periodic = true
 			for k := range cfg.N {
 				cfg.N[k] = cfg.Spacing(k) * (1 + int(pb>>1)%2)
 			}
-			if ValidatePeriodicConfig(&cfg) != nil {
-				continue
-			}
-			replayGroupedPeriodic(t, &cfg, steps)
-			continue
 		}
 		if cfg.Validate() != nil {
 			continue

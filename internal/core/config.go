@@ -44,6 +44,13 @@ type Config struct {
 	// regions into one scheduled work item. The zero value (no
 	// coarsening) dispatches one item per block.
 	Coarsen Coarsening
+	// Periodic selects wrap-around boundaries (paper §3.6, the case
+	// where every N[k] is a multiple of the lattice period Spacing(k)):
+	// the schedule holds exactly one lattice period of blocks per
+	// dimension, their boxes are not clipped to the domain, and every
+	// coordinate wraps mod N. Only RunND executes periodic schedules;
+	// Run1D/2D/3D and RunSlab reject them.
+	Periodic bool
 }
 
 // DefaultConfig returns the configuration of a plain one-stencil run
@@ -159,6 +166,10 @@ func (c *Config) Validate() error {
 		if small := c.Small(k); small < 0 {
 			return fmt.Errorf("core: Big[%d]=%d too small for BT=%d slope=%d (need >= %d)",
 				k, c.Big[k], c.BT, c.Slopes[k], 2*c.BT*c.Slopes[k])
+		}
+		if sp := c.Spacing(k); c.Periodic && c.N[k]%sp != 0 {
+			return fmt.Errorf("core: periodic run needs N[%d] (%d) to be a multiple of the lattice period %d (paper §3.6 block stretching is not implemented; choose Big/BT so that Big+Small divides N)",
+				k, c.N[k], sp)
 		}
 	}
 	return c.Coarsen.validate(d)

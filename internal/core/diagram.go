@@ -35,7 +35,7 @@ func Diagram1D(cfg *Config, steps int) (string, error) {
 					continue
 				}
 				for x := lo[0]; x < hi[0]; x++ {
-					rows[t][x] = glyph
+					rows[t][wrap(x, n)] = glyph
 				}
 			}
 		}

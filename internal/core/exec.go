@@ -138,42 +138,94 @@ func RunScheduled2D(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.
 // RunND advances an n-dimensional grid by sched.Steps() time steps of
 // the generic stencil gs. It is the formula-driven executor covering
 // any dimension (paper §3 in full generality): slower than the
-// specialised ones, but walking the identical geometry. stop behaves
-// as in Run1D.
+// specialised ones, but walking the identical geometry. It is also the
+// one executor of periodic schedules (Config.Periodic), whose grids
+// need no halo. stop behaves as in Run1D.
 func RunND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
 	if gs.Dims != g.D() {
 		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
 	}
-	for k := 0; k < g.D(); k++ {
+	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
+		return err
+	}
+	periodic := sched.cfg.Periodic
+	for k := 0; k < g.D() && !periodic; k++ {
 		if g.Halo[k] < gs.Slopes[k] {
 			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
 		}
 	}
-	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
-		return err
-	}
-	b := &bodyND{g: g, gs: gs, flat: gs.FlatOffsets(g.Strides)}
+	b := &bodyND{g: g, gs: gs, flat: gs.FlatOffsets(g.Strides), periodic: periodic,
+		rows: !periodic || runPath() >= stencil.PathBlock}
 	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, stop, nil, b)
 }
 
 // bodyND runs one block visit of the generic stencil: the last
 // dimension has unit stride, so one ApplyRow per contiguous row
-// instead of one Apply (and one g.Idx) per point.
+// instead of one Apply (and one g.Idx) per point. On a periodic run a
+// box whose stencil footprint leaves [0, N) gathers every point and
+// neighbour mod N instead; rows is false on the row kernel path, where
+// every periodic box takes that wrap loop, the oracle of the row fast
+// path (ApplyRow accumulates in the same declaration order, so both
+// are bitwise identical).
 type bodyND struct {
-	g    *grid.NDGrid
-	gs   *stencil.Generic
-	flat []int
+	g        *grid.NDGrid
+	gs       *stencil.Generic
+	flat     []int
+	periodic bool
+	rows     bool
 }
 
 func (b *bodyND) visit(l *lane, par, _ int) {
 	dst, src := b.g.Buf[par^1], b.g.Buf[par]
 	lo, hi, p := l.lo, l.hi, l.qlo
+	if b.periodic && !b.inside(lo, hi) {
+		b.wrap(dst, src, lo, hi, p, l.qhi, l.slo)
+		return
+	}
 	n := hi[len(hi)-1] - lo[len(lo)-1]
 	copy(p, lo)
 	for {
 		b.gs.ApplyRow(dst, src, b.g.Idx(p), n, b.flat)
 		l.calls.rows++
 		if !nextRow(p, lo, hi) {
+			return
+		}
+	}
+}
+
+// inside reports whether the rows fast path may run the box [lo, hi):
+// the box plus its stencil footprint lies inside [0, N), so no access
+// wraps.
+func (b *bodyND) inside(lo, hi []int) bool {
+	if !b.rows {
+		return false
+	}
+	for k, s := range b.gs.Slopes {
+		if lo[k]-s < 0 || hi[k]+s > b.g.Dims[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// wrap runs the box [lo, hi) point by point, wrapping the point and
+// each of its neighbours mod N. p, q and nb are scratch of length d.
+func (b *bodyND) wrap(dst, src []float64, lo, hi, p, q, nb []int) {
+	n := b.g.Dims
+	copy(p, lo)
+	for {
+		var acc float64
+		for i, off := range b.gs.Offsets {
+			for k := range nb {
+				nb[k] = wrap(p[k]+off[k], n[k])
+			}
+			acc += b.gs.Coeffs[i] * src[b.g.Idx(nb)]
+		}
+		for k := range q {
+			q[k] = wrap(p[k], n[k])
+		}
+		dst[b.g.Idx(q)] = acc
+		if !nextPoint(p, lo, hi) {
 			return
 		}
 	}
@@ -192,12 +244,26 @@ func nextRow(p, lo, hi []int) bool {
 	return false
 }
 
+// nextPoint is nextRow over every dimension, the last included.
+func nextPoint(p, lo, hi []int) bool {
+	for k := len(p) - 1; k >= 0; k-- {
+		if p[k]++; p[k] < hi[k] {
+			return true
+		}
+		p[k] = lo[k]
+	}
+	return false
+}
+
 // checkRun validates the arguments of a pipeline run against a grid of
 // interior extents n and halo widths halo, placed in the domain by a
 // non-nil sl.
 func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int, sl *slab) error {
 	if p == nil {
 		return fmt.Errorf("core: nil pipeline")
+	}
+	if sched != nil && sched.cfg.Periodic {
+		return fmt.Errorf("core: periodic schedules run only through RunND")
 	}
 	if err := p.Validate(); err != nil {
 		return err

@@ -76,9 +76,19 @@ func (c *Config) Bounds(r *Region, b *Block, t int, lo, hi []int) {
 }
 
 // ClippedBounds is Bounds followed by intersection with the domain
-// [0, N). It reports whether the box is non-empty.
+// [0, N). It reports whether the box is non-empty. A periodic config's
+// box is left unclipped: it may extend past [0, N), and executors wrap
+// its coordinates mod N.
 func (c *Config) ClippedBounds(r *Region, b *Block, t int, lo, hi []int) bool {
 	c.Bounds(r, b, t, lo, hi)
+	if c.Periodic {
+		for k := range lo {
+			if lo[k] >= hi[k] {
+				return false
+			}
+		}
+		return true
+	}
 	return ClipBox(lo, hi, c.N)
 }
 
@@ -132,13 +142,19 @@ func (c *Config) expandOff(k int) int { return c.Spacing(k) / 2 }
 
 // latticeBlocks appends one block per lattice point whose maximal
 // extent (off[k], off[k]+Big[k]) relative to the tile origin intersects
-// the domain, at the given phase parity.
+// the domain, at the given phase parity. A periodic config takes
+// exactly one lattice period per dimension, m in [0, N/Spacing): the
+// blocks past the domain edge are these blocks wrapped around.
 func (c *Config) latticeBlocks(dst []Block, parity int, glued uint, off func(k int) int) []Block {
 	d := c.Dims()
 	m0 := make([]int, d)
 	m1 := make([]int, d)
 	for k := 0; k < d; k++ {
-		m0[k], m1[k] = c.dimRange(parity, k, off(k))
+		if c.Periodic {
+			m1[k] = c.N[k] / c.Spacing(k)
+		} else {
+			m0[k], m1[k] = c.dimRange(parity, k, off(k))
+		}
 		if m0[k] >= m1[k] {
 			return dst
 		}
@@ -268,4 +284,12 @@ func floorDiv(a, b int) int {
 		q--
 	}
 	return q
+}
+
+// wrap returns v mod n in [0, n) for n > 0.
+func wrap(v, n int) int {
+	if v %= n; v < 0 {
+		v += n
+	}
+	return v
 }

@@ -83,12 +83,12 @@ func TestBlockCountsMatchTable1(t *testing.T) {
 			slopes[k] = 1
 			big[k] = 6
 		}
-		cfg := Config{N: n, Slopes: slopes, BT: 2, Big: big, Merge: true}
+		cfg := Config{N: n, Slopes: slopes, BT: 2, Big: big, Merge: true, Periodic: true}
 		cells := 3 // lattice cells per dimension
 		for k := 0; k < d; k++ {
 			n[k] = cells * cfg.Spacing(k)
 		}
-		rs := cfg.periodicRegions(cfg.BT)
+		rs := cfg.Regions(cfg.BT)
 		b0 := 1
 		for k := 0; k < d; k++ {
 			b0 *= cells

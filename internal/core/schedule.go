@@ -13,11 +13,11 @@ import (
 // configuration and the step count: it depends on neither the grid
 // contents nor the grid's Step parity (buffer parity is resolved at
 // execution time). A serving workload that re-runs the same
-// (N, Slopes, BT, Big, Merge, Coarsen, steps) shape millions of times
-// therefore never needs to rebuild the block lists — it can precompute
-// a Schedule once and replay it, and because executors only ever read
-// regions, one Schedule may be shared by any number of concurrent runs
-// on different grids and pools.
+// (N, Slopes, BT, Big, Merge, Coarsen, Periodic, steps) shape millions
+// of times therefore never needs to rebuild the block lists — it can
+// precompute a Schedule once and replay it, and because executors only
+// ever read regions, one Schedule may be shared by any number of
+// concurrent runs on different grids and pools.
 
 // Schedule is a precomputed, immutable tessellation schedule: a
 // validated Config plus the region list Regions(steps) would produce.
@@ -49,6 +49,7 @@ func NewSchedule(cfg *Config, steps int) (*Schedule, error) {
 		Coarsen: Coarsening{
 			PerStage: append([]int(nil), cfg.Coarsen.PerStage...),
 		},
+		Periodic: cfg.Periodic,
 	}
 	return &Schedule{cfg: c, steps: steps, regions: c.Regions(steps)}, nil
 }
@@ -65,8 +66,8 @@ func (s *Schedule) Config() *Config { return &s.cfg }
 func (s *Schedule) Regions() []Region { return s.regions }
 
 // ScheduleCache memoizes Schedules by their full geometric key
-// (N, Slopes, BT, Big, Merge, Coarsen, steps). It is safe for
-// concurrent use; at most maxEntries schedules are retained, evicted
+// (N, Slopes, BT, Big, Merge, Coarsen, Periodic, steps). It is safe
+// for concurrent use; at most maxEntries schedules are retained, evicted
 // in insertion order (steady-state serving traffic re-uses a handful
 // of shapes, so FIFO is as good as LRU and needs no bookkeeping on
 // the hit path). Lookups are counted in the
@@ -104,6 +105,9 @@ func scheduleKey(cfg *Config, steps int) string {
 	b = strconv.AppendInt(b, int64(cfg.BT), 10)
 	if cfg.Merge {
 		b = append(b, 'm')
+	}
+	if cfg.Periodic {
+		b = append(b, 'p')
 	}
 	for _, v := range cfg.N {
 		b = append(b, ',')

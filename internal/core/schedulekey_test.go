@@ -21,6 +21,7 @@ func TestScheduleKeyIdentity(t *testing.T) {
 		func(c *Config) int { c.N = []int{40, 41}; return 8 },
 		func(c *Config) int { c.Merge = false; return 8 },
 		func(c *Config) int { c.Coarsen = Coarsening{PerStage: []int{2}}; return 8 },
+		func(c *Config) int { c.Periodic = true; return 8 },
 		func(c *Config) int { return 9 }, // steps
 	}
 	for i, mut := range mutations {
@@ -70,5 +71,29 @@ func TestScheduleKeySharesGeometryAcrossKernels(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatal("equal-geometry configs built two schedules instead of sharing one")
+	}
+}
+
+// Periodic and non-periodic configs of one shape build different
+// region lists (one lattice period against every block touching the
+// domain), so they must never share a cache entry.
+func TestScheduleCacheKeySeparatesPeriodic(t *testing.T) {
+	plain := Config{N: []int{48, 48}, Slopes: []int{1, 1}, BT: 2, Big: []int{8, 8}, Merge: true}
+	per := plain
+	per.Periodic = true
+	if scheduleKey(&plain, 8) == scheduleKey(&per, 8) {
+		t.Fatal("periodic and non-periodic configs share a schedule key")
+	}
+	cache := NewScheduleCache(4)
+	s1, err := cache.Get(&plain, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := cache.Get(&per, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 == s2 || !s2.Config().Periodic || s1.Config().Periodic {
+		t.Fatal("the cache returned one schedule for a periodic and a non-periodic config")
 	}
 }

@@ -19,7 +19,8 @@ import "fmt"
 //     and its count leaving the region must be <= t+1.
 //
 // Points outside the domain are constant (non-periodic boundary) and
-// always satisfy the dependence. ValidateSchedule is exhaustive and
+// always satisfy the dependence; on a periodic config every point and
+// neighbour wraps mod N instead. ValidateSchedule is exhaustive and
 // meant for tests; it returns the first violation found.
 func ValidateSchedule(cfg *Config, steps int) error {
 	if err := cfg.Validate(); err != nil {
@@ -70,6 +71,19 @@ func ValidateSchedule(cfg *Config, steps int) error {
 	hi := make([]int, d)
 	p := make([]int, d)
 	q := make([]int, d)
+	// at returns the flat index of p, wrapped mod N on a periodic
+	// config; ok is false for a point of the constant boundary halo.
+	at := func(p []int) (i int, ok bool) {
+		for k, v := range p {
+			if cfg.Periodic {
+				v = wrap(v, cfg.N[k])
+			} else if v < 0 || v >= cfg.N[k] {
+				return 0, false
+			}
+			i += v * strides[k]
+		}
+		return i, true
+	}
 
 	regions := cfg.Regions(steps)
 	for ri, r := range regions {
@@ -85,7 +99,7 @@ func ValidateSchedule(cfg *Config, steps int) error {
 					continue
 				}
 				err := forBox(lo, hi, p, func() error {
-					i := flat(p, strides)
+					i, _ := at(p)
 					if cnt[i] != t {
 						return fmt.Errorf("region %d block %d: point %v updated to %d but has count %d", ri, bi, p, t+1, cnt[i])
 					}
@@ -114,18 +128,13 @@ func ValidateSchedule(cfg *Config, steps int) error {
 				}
 				err := forBox(lo, hi, p, func() error {
 					for _, o := range offsets {
-						inside := true
 						for k := 0; k < d; k++ {
 							q[k] = p[k] + o[k]
-							if q[k] < 0 || q[k] >= cfg.N[k] {
-								inside = false
-								break
-							}
 						}
+						j, inside := at(q)
 						if !inside {
 							continue // constant boundary halo
 						}
-						j := flat(q, strides)
 						if ownerVer[j] == ver && owner[j] != int32(bi) {
 							// Cross-block read within one region: must be
 							// safe under any interleaving.
@@ -138,7 +147,8 @@ func ValidateSchedule(cfg *Config, steps int) error {
 								ri, bi, t, p, q, cnt[j], t, t+1)
 						}
 					}
-					cnt[flat(p, strides)]++
+					i, _ := at(p)
+					cnt[i]++
 					return nil
 				})
 				if err != nil {
@@ -157,14 +167,6 @@ func ValidateSchedule(cfg *Config, steps int) error {
 	return nil
 }
 
-func flat(p, strides []int) int {
-	i := 0
-	for k, v := range p {
-		i += v * strides[k]
-	}
-	return i
-}
-
 func unflat(i int, strides, p, n []int) {
 	for k := range p {
 		p[k] = (i / strides[k]) % n[k]
@@ -179,15 +181,7 @@ func forBox(lo, hi, p []int, f func() error) error {
 		if err := f(); err != nil {
 			return err
 		}
-		k := len(p) - 1
-		for ; k >= 0; k-- {
-			p[k]++
-			if p[k] < hi[k] {
-				break
-			}
-			p[k] = lo[k]
-		}
-		if k < 0 {
+		if !nextPoint(p, lo, hi) {
 			return nil
 		}
 	}

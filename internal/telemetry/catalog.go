@@ -75,8 +75,8 @@ var (
 	// StageDuration has one histogram per region kind: "stage" for the
 	// expand/shrink stages as an aggregate, "diamond" for merged
 	// B_d+B_0 regions, plus one "stage<i>" child per stage index so
-	// per-stage grain is observable (the per-stage coarsening autotuner
-	// divides these by StageBlocks to equalize per-block cost).
+	// per-stage grain is observable (divided by StageBlocks, the mean
+	// wall time per block of each stage).
 	StageDuration = Default.NewHistogramFamily(
 		"tess_stage_duration_seconds",
 		"Wall time of each tessellation parallel region, by region kind.",

@@ -34,6 +34,9 @@ func checkPipelineRun(p *Pipeline, dims, steps int, opt Options) ([]int, error) 
 	if opt.Scheme != Tessellation && opt.Scheme != Naive {
 		return nil, fmt.Errorf("tessellate: pipelines support the tessellation and naive schemes, got %v", opt.Scheme)
 	}
+	if err := checkPeriodic(opt); err != nil {
+		return nil, err
+	}
 	return p.Slopes(), nil
 }
 

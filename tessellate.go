@@ -192,9 +192,10 @@ type Options struct {
 	// NoMerge disables the tessellation's B_d+B_0 merging (§4.3);
 	// useful for the ablation study.
 	NoMerge bool
-	// Periodic selects wrap-around boundaries (paper §3.6). Currently
-	// supported by the tessellation's ND executor (RunND) when each
-	// domain extent is a multiple of the block lattice period.
+	// Periodic selects wrap-around boundaries (paper §3.6). Only
+	// Engine.RunND accepts it, when each domain extent is a multiple
+	// of the block lattice period; Run1D/2D/3D, RunAdaptive*,
+	// RunPipeline* and RunMasked* return an error under every scheme.
 	Periodic bool
 	// CoarsenPerStage sets the tessellation's §4.2 dispatch coarsening
 	// factor per stage: entry i applies to stage-i regions (i = the
@@ -204,8 +205,7 @@ type Options struct {
 	// identical for any legal vector, only the scheduling grain
 	// changes. A single entry applies to every stage; entries must lie
 	// in [1, MaxCoarsenFactor]. Empty means no coarsening. Only the
-	// tessellation scheme consults it; autotune.EqualizeCoarsening
-	// picks a vector that equalizes per-stage region grain.
+	// tessellation scheme consults it.
 	CoarsenPerStage []int
 }
 
@@ -317,6 +317,9 @@ func (e *Engine) Run1D(g *Grid1D, s *Stencil, steps int, opt Options) error {
 	if s.Dims != 1 {
 		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 1D", s.Name, s.Dims)
 	}
+	if err := checkPeriodic(opt); err != nil {
+		return err
+	}
 	n := []int{g.N}
 	switch opt.Scheme {
 	case Tessellation:
@@ -348,6 +351,9 @@ func (e *Engine) Run2D(g *Grid2D, s *Stencil, steps int, opt Options) error {
 	}
 	if s.Dims != 2 {
 		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 2D", s.Name, s.Dims)
+	}
+	if err := checkPeriodic(opt); err != nil {
+		return err
 	}
 	n := []int{g.NX, g.NY}
 	switch opt.Scheme {
@@ -389,6 +395,9 @@ func (e *Engine) Run3D(g *Grid3D, s *Stencil, steps int, opt Options) error {
 	if s.Dims != 3 {
 		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 3D", s.Name, s.Dims)
 	}
+	if err := checkPeriodic(opt); err != nil {
+		return err
+	}
 	n := []int{g.NX, g.NY, g.NZ}
 	switch opt.Scheme {
 	case Tessellation:
@@ -425,14 +434,10 @@ func (e *Engine) Run3D(g *Grid3D, s *Stencil, steps int, opt Options) error {
 // tessellation scheme (the only scheme implemented for d > 3). With
 // opt.Periodic the boundary wraps around (paper §3.6); each domain
 // extent must then be a multiple of the block lattice period
-// Big[k]+Small[k].
+// Big[k]+Small[k], and the grid needs no halo.
 func (e *Engine) RunND(g *NDGrid, s *GenericStencil, steps int, opt Options) error {
 	if opt.Scheme != Tessellation {
 		return fmt.Errorf("tessellate: only the tessellation scheme supports ND grids")
-	}
-	if opt.Periodic {
-		cfg := tessConfig(g.Dims, s.Slopes, 1, opt)
-		return core.RunNDPeriodic(g, s, steps, &cfg, e.pool)
 	}
 	sched, err := tessSchedule(g.Dims, s.Slopes, 1, steps, opt)
 	if err != nil {
@@ -629,7 +634,19 @@ func tessSchedule(n, slopes []int, stencilStages, steps int, opt Options) (*core
 // stencil stages: 1 for a plain spec, Pipeline.StencilStages
 // otherwise.
 func tessConfig(n, slopes []int, stencilStages int, opt Options) core.Config {
-	return core.NewConfig(n, slopes, stencilStages, opt.TimeTile, opt.Block, opt.NoMerge, opt.CoarsenPerStage)
+	cfg := core.NewConfig(n, slopes, stencilStages, opt.TimeTile, opt.Block, opt.NoMerge, opt.CoarsenPerStage)
+	cfg.Periodic = opt.Periodic
+	return cfg
+}
+
+// checkPeriodic rejects opt.Periodic under every scheme but the
+// tessellation, whose core executors reject it themselves everywhere
+// but RunND: no baseline implements wrap-around boundaries.
+func checkPeriodic(opt Options) error {
+	if opt.Periodic && opt.Scheme != Tessellation {
+		return fmt.Errorf("tessellate: scheme %v has no periodic boundaries", opt.Scheme)
+	}
+	return nil
 }
 
 func skewConfig(n []int, s *Stencil, opt Options) skew.Config {
