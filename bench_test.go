@@ -18,7 +18,7 @@ import (
 const (
 	benchScale1D = 64
 	benchScale2D = 64
-	benchScale3D = 4
+	benchScale3D = 16 // 3D extents divide by sqrt(16): 64³
 )
 
 func runWorkload(b *testing.B, w bench.Workload, schemes []tessellate.Scheme) {

@@ -113,14 +113,18 @@ func ByFigure(fig string) []Workload {
 	return out
 }
 
-// Scaled shrinks a workload by the integer factor f: spatial extents
-// and steps divide by f, while tile sizes shrink only by sqrt(f) —
-// tiles relate to cache geometry, which does not shrink with the
-// problem, and scaling them linearly would erase the temporal reuse the
-// comparison is about. All configurations stay legal
-// (Big >= 2*BT*slope). Factor 1 returns the paper-size workload
-// unchanged. Use this to fit the sweep onto small machines; relative
-// scheme ordering, not absolute throughput, is the reproduction target.
+// Scaled shrinks a workload by the integer factor f: 1D and 2D extents
+// and steps divide by f, while tile sizes and 3D extents shrink only by
+// sqrt(f) — tiles relate to cache geometry, which does not shrink with
+// the problem, and scaling them linearly would erase the temporal reuse
+// the comparison is about; a 3D extent divided by f would leave a few
+// tiles' worth of work (256³ at f = 16 is 64³, about the update count
+// of the 2D workloads at that f, where 16³ would be 0.3 ms a run). All
+// configurations stay legal (Big >= 2*BT*slope), and 3D extents keep
+// at least two tiles per dimension. Factor 1 returns the paper-size
+// workload unchanged. Use this to fit the sweep onto small machines;
+// relative scheme ordering, not absolute throughput, is the
+// reproduction target.
 func (w Workload) Scaled(f int) Workload {
 	if f <= 1 {
 		return w
@@ -139,9 +143,6 @@ func (w Workload) Scaled(f int) Workload {
 	out.N = make([]int, len(w.N))
 	out.TessBig = make([]int, len(w.TessBig))
 	out.SkewBX = make([]int, len(w.SkewBX))
-	for k := range w.N {
-		out.N[k] = maxInt(w.N[k]/f, 16*spec.Slopes[k])
-	}
 	out.Steps = maxInt(w.Steps/f, 8)
 
 	out.TessBT = maxInt(w.TessBT/g, 1)
@@ -154,6 +155,13 @@ func (w Workload) Scaled(f int) Workload {
 		out.SkewBX[k] = maxInt(w.SkewBX[k]/g, 1)
 	}
 	out.DiamondBX = maxInt(w.DiamondBX/g, 2*out.DiamondBT*spec.Slopes[0])
+	for k := range w.N {
+		if len(w.N) == 3 {
+			out.N[k] = maxInt(w.N[k]/intSqrt(f), 2*out.TessBig[k])
+		} else {
+			out.N[k] = maxInt(w.N[k]/f, 16*spec.Slopes[k])
+		}
+	}
 	return out
 }
 

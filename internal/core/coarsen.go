@@ -131,11 +131,9 @@ func (r *Region) groups(blocks []int) [][2]int {
 // per-block clipping. lo, hi, minRel and maxRel are caller scratch of
 // length Dims.
 //
-// The interior test exploits monotonicity: each bound is (piecewise)
-// affine in t, so its extreme values over the window occur at the
-// window ends — plus, for diamonds, at the waist where the slope flips
-// sign. Checking a block's maximal relative extent against [0, N) at
-// those candidates therefore covers every time step.
+// The interior test exploits monotonicity (Region.extremes): checking
+// a block's maximal relative extent against [0, N) at the window's
+// extreme times covers every time step.
 func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi, minRel, maxRel []int) (uniform bool, interior uint64) {
 	blocks := r.Blocks
 	rep := &blocks[b0]
@@ -144,17 +142,7 @@ func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi, minRel, maxRel []int) 
 			return false, 0
 		}
 	}
-	ts := [3]int{r.T0, r.T1 - 1, 0}
-	nt := 2
-	if r.Diamond {
-		w := r.Ref - 1
-		if w < r.T0 {
-			w = r.T0
-		} else if w > r.T1-1 {
-			w = r.T1 - 1
-		}
-		ts[2], nt = w, 3
-	}
+	ts, nt := r.extremes()
 	d := len(lo)
 	for i := 0; i < nt; i++ {
 		c.Bounds(r, rep, ts[i], lo, hi)
@@ -182,4 +170,17 @@ func (c *Config) groupPlan(r *Region, b0, b1 int, lo, hi, minRel, maxRel []int) 
 		}
 	}
 	return true, interior
+}
+
+// extremes returns the times of region r's window at which a block's
+// bounds take their extreme values, and how many there are: the
+// window's ends, and for a diamond the waist where the slope flips
+// sign. Each bound is piecewise affine in t, so the box at any time of
+// the window lies inside the bounding box of the boxes at these times.
+func (r *Region) extremes() (ts [3]int, n int) {
+	ts, n = [3]int{r.T0, r.T1 - 1, 0}, 2
+	if r.Diamond {
+		ts[2], n = min(max(r.Ref-1, r.T0), r.T1-1), 3
+	}
+	return ts, n
 }

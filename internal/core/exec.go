@@ -43,7 +43,7 @@ func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	if err := checkRun(p, sched, m, []int{g.N}, []int{g.H}, nil); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf, nil)
+	b := newPipeBody(p, sched, m, g.Buf, nil, []int{1}, []int{g.H})
 	k := &box1D{kern: make([]stencil.Kernel1DBlock, len(p.Stages)), h: g.H}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -53,7 +53,7 @@ func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	b.dim = k
 	// A 1D strip is a strip1D-point chunk of the row at index h, so its
 	// kernel reads stay at or above index 0.
-	return b.run(pool, len(g.Buf[0]), g.H+strip1D, &g.Step, stop)
+	return b.run(pool, g.H+strip1D, &g.Step, stop)
 }
 
 // Run2D is Run1D for 2D grids.
@@ -96,7 +96,7 @@ func run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	if err := checkRun(p, sched, m, []int{g.NX, g.NY}, []int{g.HX, g.HY}, sl); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf, sl)
+	b := newPipeBody(p, sched, m, g.Buf, sl, []int{g.SY, 1}, []int{g.HX, g.HY})
 	k := &box2D{kern: make([]stencil.Kernel2DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0)}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -107,7 +107,7 @@ func run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	// A 2D strip is two rows in the grid's layout starting at index
 	// reach, so kernel reads (at most HX rows and HY cells back) stay
 	// at or above index 0.
-	return b.run(pool, len(g.Buf[0]), k.reach+g.SY+g.NY, &g.Step, stop)
+	return b.run(pool, k.reach+g.SY+g.NY, &g.Step, stop)
 }
 
 // run3D is run2D for 3D grids.
@@ -115,7 +115,7 @@ func run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	if err := checkRun(p, sched, m, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}, sl); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf, sl)
+	b := newPipeBody(p, sched, m, g.Buf, sl, []int{g.SX, g.SY, 1}, []int{g.HX, g.HY, g.HZ})
 	k := &box3D{kern: make([]stencil.Kernel3DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0, 0)}
 	for i, st := range p.Stages {
 		if st.Spec != nil {
@@ -126,7 +126,7 @@ func run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool,
 	// A 3D strip is two pencils of one plane in the grid's layout
 	// starting at index reach, so kernel reads (at most HX planes, HY
 	// pencils and HZ cells back) stay at or above index 0.
-	return b.run(pool, len(g.Buf[0]), k.reach+g.SY+g.NZ, &g.Step, stop)
+	return b.run(pool, k.reach+g.SY+g.NZ, &g.Step, stop)
 }
 
 // RunScheduled2D runs the stencil s over sched on the full domain:
@@ -156,7 +156,7 @@ func RunND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool,
 	}
 	b := &bodyND{g: g, gs: gs, flat: gs.FlatOffsets(g.Strides), periodic: periodic,
 		rows: !periodic || runPath() >= stencil.PathBlock}
-	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, stop, nil, b)
+	return walk(sched, &g.Step, pool, newLanes(pool.Workers(), g.D()), nil, nil, stop, nil, b)
 }
 
 // bodyND runs one block visit of the generic stencil: the last

@@ -350,3 +350,66 @@ func TestRunSlabPlan(t *testing.T) {
 		t.Error("1D grid accepted")
 	}
 }
+
+// TestRunSlabTileLocalPipeline runs rk2, whose intermediate slot is
+// tile-local, through RunSlab on a slab that starts x0 rows into the
+// domain, one step, over the blocks whose boxes lie in the slab: its
+// rows must equal those of the whole grid run over the same blocks.
+// One step reads only the initial state, which the slab's halo holds.
+func TestRunSlabTileLocalPipeline(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	const x0 = 21
+	for _, n := range [][]int{{60, 24}, {45, 11, 13}} {
+		p := rk2ish([]*stencil.Spec{stencil.Heat2D, stencil.Heat3D}[len(n)-2])
+		sl := p.Slopes()
+		cfg := &Config{N: n, Slopes: sl, BT: 1, Big: []int{8, 10, 9}[:len(n)]}
+		sched := mustSchedule(t, cfg, 1)
+		lo, hi := make([]int, len(n)), make([]int, len(n))
+		plan := make([][]Pass, len(sched.Regions()))
+		for ri, r := range sched.Regions() {
+			blocks := []int{}
+			for bi := range r.Blocks {
+				if !cfg.ClippedBounds(&r, &r.Blocks[bi], 0, lo, hi) || lo[0] >= x0 {
+					blocks = append(blocks, bi)
+				}
+			}
+			plan[ri] = []Pass{{Blocks: blocks}}
+		}
+		var got, want []float64
+		if len(n) == 2 {
+			g := grid.NewGrid2D(n[0], n[1], sl[0], sl[1])
+			fill2D(g, 3)
+			s := grid.NewGrid2D(n[0]-x0, n[1], sl[0], sl[1])
+			for b := range s.Buf {
+				copy(s.Buf[b], g.Buf[b][x0*g.SY:])
+			}
+			if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
+				t.Fatal(err)
+			}
+			if err := RunSlab(s, p, sched, pool, x0, plan); err != nil {
+				t.Fatal(err)
+			}
+			got, want = s.Buf[1], g.Buf[1][x0*g.SY:]
+		} else {
+			g := grid.NewGrid3D(n[0], n[1], n[2], sl[0], sl[1], sl[2])
+			fill3D(g, 3)
+			s := grid.NewGrid3D(n[0]-x0, n[1], n[2], sl[0], sl[1], sl[2])
+			for b := range s.Buf {
+				copy(s.Buf[b], g.Buf[b][x0*g.SX:])
+			}
+			if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
+				t.Fatal(err)
+			}
+			if err := RunSlab(s, p, sched, pool, x0, plan); err != nil {
+				t.Fatal(err)
+			}
+			got, want = s.Buf[1], g.Buf[1][x0*g.SX:]
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v: slab cell %d = %v, whole grid %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -295,6 +295,31 @@ func TestPipelineFusionPlan(t *testing.T) {
 			}
 		}
 	}
+
+	// A rebasable pipeline's slot holds the Big[0] + 2*grow + 2*H rows
+	// (planes) of dimension 0 one visit touches; a positional one keeps
+	// the whole grid.
+	g2 := grid.NewGrid2D(200, 90, 2, 2)
+	cfg2 := Config{N: []int{200, 90}, Slopes: []int{2, 2}, BT: 4, Big: []int{32, 40}, Merge: true}
+	g3 := grid.NewGrid3D(40, 12, 14, 2, 2, 2)
+	cfg3 := Config{N: []int{40, 12, 14}, Slopes: []int{2, 2, 2}, BT: 1, Big: []int{8, 8, 8}, Merge: true}
+	for _, c := range []struct {
+		p            *stencil.Pipeline
+		cfg          *Config
+		buf          [2][]float64
+		stride, halo []int
+		want         int
+	}{
+		{rk2ish(h), &cfg2, g2.Buf, []int{g2.SY, 1}, []int{2, 2}, (32 + 2 + 4) * g2.SY},
+		{rk2ish(positional2D(kappa)), &cfg2, g2.Buf, []int{g2.SY, 1}, []int{2, 2}, len(g2.Buf[0])},
+		{rk2ish(stencil.Heat3D), &cfg3, g3.Buf, []int{g3.SX, g3.SY, 1}, []int{2, 2, 2}, (8 + 2 + 4) * g3.SX},
+		{rk2ish(positional3D(kappa)), &cfg3, g3.Buf, []int{g3.SX, g3.SY, 1}, []int{2, 2, 2}, len(g3.Buf[0])},
+	} {
+		b := newPipeBody(c.p, mustSchedule(t, c.cfg, 4), nil, c.buf, nil, c.stride, c.halo)
+		if got := b.slotLen(); got != c.want {
+			t.Fatalf("%s on %v: slot of %d cells, want %d", c.p.Name, c.cfg.N, got, c.want)
+		}
+	}
 }
 
 // positional1D/2D/3D are user-style kernels that read a captured
@@ -580,12 +605,15 @@ func checkCoverage(t *testing.T, cfg *Config, steps int, m *grid.Mask) {
 }
 
 // pipelineCorpus seeds every pipeline fuzz target: random chains plus
-// the rk2, leapfrog (PrevState) and re-read shapes.
-func pipelineCorpus(f *testing.F) {
+// the rk2, leapfrog (PrevState) and re-read shapes, and the rk2 and
+// re-read shapes from the target's seed tiled, which draws a masked
+// domain at least three tiles long along dimension 0, so the tile-local
+// slots move from visit to visit.
+func pipelineCorpus(f *testing.F, tiled int64) {
 	for _, c := range []struct {
 		seed  int64
 		shape uint8
-	}{{1, 0}, {42, 0}, {7777, 0}, {-3, 0}, {5, 1}, {6, 2}, {7, 3}, {8, 3}} {
+	}{{1, 0}, {42, 0}, {7777, 0}, {-3, 0}, {5, 1}, {6, 2}, {7, 3}, {8, 3}, {tiled, 1}, {tiled, 3}} {
 		f.Add(c.seed, c.shape)
 	}
 }
@@ -599,7 +627,7 @@ func pipelineCorpus(f *testing.F) {
 //  2. the schedule's clipped final boxes cover the active set exactly
 //     once per step (checkCoverage).
 func FuzzPipelineGeometry(f *testing.F) {
-	pipelineCorpus(f)
+	pipelineCorpus(f, 2)
 	pool := par.NewPool(3)
 	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
@@ -648,7 +676,7 @@ var star2DO2 = func() *stencil.Spec {
 // compiled order-2 star chains. Odd extents give fused strips an odd
 // trailing row; carved masks give mixed blocks single-row segments.
 func FuzzPipelineGeometry2D(f *testing.F) {
-	pipelineCorpus(f)
+	pipelineCorpus(f, 12)
 	pool := par.NewPool(3)
 	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
@@ -685,7 +713,7 @@ func FuzzPipelineGeometry2D(f *testing.F) {
 // FuzzPipelineGeometry3D is FuzzPipelineGeometry on Heat3D chains.
 // Odd y extents give fused strips an odd trailing pencil.
 func FuzzPipelineGeometry3D(f *testing.F) {
-	pipelineCorpus(f)
+	pipelineCorpus(f, 153)
 	pool := par.NewPool(3)
 	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {

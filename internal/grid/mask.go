@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -15,11 +16,15 @@ import (
 //
 // The representation is a flat bitmap (rows of the unit-stride
 // dimension padded to whole 64-bit words, so per-row run scanning is
-// word-at-a-time) plus an integer summed-area table giving O(1)
-// active-point counts of any axis-aligned box. The count is the
-// executors' per-block activity summary: count == volume keeps a block
-// on the unchanged full-box fast path, count == 0 skips the block
-// entirely, and only mixed blocks pay for bitmap-guarded dispatch.
+// word-at-a-time), an integer summed-area table of the mask's own rank
+// giving O(1) active-point counts of any axis-aligned box (2, 4 or 8
+// lookups in 1D, 2D and 3D), and a row-run table: for each row, how
+// many consecutive rows from it on carry the same bits. The count is
+// the executors' per-block activity summary: count == volume keeps a
+// block on the unchanged full-box fast path, count == 0 skips the
+// block entirely, and only mixed blocks pay for bitmap-guarded
+// dispatch, where the row-run table lets a run of identical rows go to
+// the kernel as one multi-row box.
 //
 // Build: NewMask (all active), Set to carve, then Finalize before
 // handing the mask to an executor. A finalized mask is immutable and
@@ -32,6 +37,7 @@ type Mask struct {
 	wpr   int      // words per row
 	bits  []uint64 // rows * wpr words, bit z of row r = point active
 	sum   []int    // summed-area table, built by Finalize
+	same  []int32  // row-run table, built by Finalize (see RowRun)
 	count int      // total active points, built by Finalize
 	once  sync.Once
 	final bool
@@ -115,36 +121,77 @@ func (m *Mask) Active(p ...int) bool {
 	return m.bits[m.row(p)*m.wpr+z/64]&(1<<uint(z%64)) != 0
 }
 
-// Finalize builds the summed-area table. Idempotent and safe to call
-// from concurrent runs sharing one mask (every executor entry point
-// calls it): the table is built exactly once, and every caller returns
-// only after it is complete. Must be called before CountBox. After
-// Finalize the mask is immutable.
+// Finalize builds the summed-area and row-run tables. Idempotent and
+// safe to call from concurrent runs sharing one mask (every executor
+// entry point calls it): the tables are built exactly once, and every
+// caller returns only after they are complete. Must be called before
+// CountBox or RowRun. After Finalize the mask is immutable.
 func (m *Mask) Finalize() { m.once.Do(m.build) }
 
-// build fills the summed-area table and only then marks the mask final.
+// build fills the summed-area and row-run tables and only then marks
+// the mask final. The table has the mask's rank: entry (x+1, y+1, z+1)
+// of a 3D mask (and likewise for 2D and 1D) is the active count of the
+// box [0, x] x [0, y] x [0, z], and the row and column of zeros in
+// front of each dimension make every box a difference of corners.
 func (m *Mask) build() {
-	d := len(m.Dims)
-	dims := [3]int{1, 1, 1}
-	copy(dims[3-d:], m.Dims) // right-align: dims = [nx, ny, nz] with leading 1s
-	nx, ny, nz := dims[0], dims[1], dims[2]
-	sx, sy := (ny+1)*(nz+1), nz+1
-	m.sum = make([]int, (nx+1)*sx)
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			row := (x*ny + y) * m.wpr
+	switch d := m.Dims; len(d) {
+	case 1:
+		m.sum = make([]int, d[0]+1)
+		for z := 0; z < d[0]; z++ {
+			m.sum[z+1] = m.sum[z] + m.bit(0, z)
+		}
+	case 2:
+		nx, ny := d[0], d[1]
+		sx := ny + 1
+		m.sum = make([]int, (nx+1)*sx)
+		for x := 0; x < nx; x++ {
 			rowSum := 0
-			for z := 0; z < nz; z++ {
-				if m.bits[row+z/64]&(1<<uint(z%64)) != 0 {
-					rowSum++
+			for y := 0; y < ny; y++ {
+				rowSum += m.bit(x, y)
+				i := (x+1)*sx + y + 1
+				m.sum[i] = rowSum + m.sum[i-sx]
+			}
+		}
+	default:
+		nx, ny, nz := d[0], d[1], d[2]
+		sx, sy := (ny+1)*(nz+1), nz+1
+		m.sum = make([]int, (nx+1)*sx)
+		for x := 0; x < nx; x++ {
+			for y := 0; y < ny; y++ {
+				rowSum := 0
+				for z := 0; z < nz; z++ {
+					rowSum += m.bit(x*ny+y, z)
+					i := (x+1)*sx + (y+1)*sy + (z + 1)
+					m.sum[i] = rowSum + m.sum[i-sy] + m.sum[i-sx] - m.sum[i-sx-sy]
 				}
-				i := (x+1)*sx + (y+1)*sy + (z + 1)
-				m.sum[i] = rowSum + m.sum[i-sy] + m.sum[i-sx] - m.sum[i-sx-sy]
 			}
 		}
 	}
-	m.count = m.sum[nx*sx+ny*sy+nz]
+	m.count = m.sum[len(m.sum)-1]
+	m.buildRowRuns()
 	m.final = true
+}
+
+// bit returns 1 if point z of row r is active, else 0.
+func (m *Mask) bit(r, z int) int {
+	return int(m.bits[r*m.wpr+z/64] >> uint(z%64) & 1)
+}
+
+// buildRowRuns fills the row-run table from the last row back: a row
+// that is the last of its line along the second-to-last dimension, or
+// differs from the next row, starts a run of 1.
+func (m *Mask) buildRowRuns() {
+	m.same = make([]int32, m.rows)
+	line := 1 // rows per line of the second-to-last dimension
+	if d := len(m.Dims); d > 1 {
+		line = m.Dims[d-2]
+	}
+	for r := m.rows - 1; r >= 0; r-- {
+		m.same[r] = 1
+		if (r+1)%line != 0 && slices.Equal(m.bits[r*m.wpr:(r+1)*m.wpr], m.bits[(r+1)*m.wpr:(r+2)*m.wpr]) {
+			m.same[r] += m.same[r+1]
+		}
+	}
 }
 
 // ActiveCount returns the total number of active points (after
@@ -165,35 +212,35 @@ func (m *Mask) mustFinal() {
 // the mask's extents; an empty box counts zero.
 func (m *Mask) CountBox(lo, hi []int) int {
 	m.mustFinal()
-	d := len(m.Dims)
-	// Right-align lower-rank boxes into 3D with degenerate [0, 1)
-	// leading extents, so one 8-term inclusion-exclusion covers 1D-3D.
-	var l, h [3]int
-	for k := 0; k < 3-d; k++ {
-		h[k] = 1
-	}
-	copy(l[3-d:], lo)
-	copy(h[3-d:], hi)
-	for k := 0; k < 3; k++ {
-		if l[k] >= h[k] {
+	for k := range m.Dims {
+		if lo[k] >= hi[k] {
 			return 0
 		}
 	}
-	sx := (m.dim(1) + 1) * (m.dim(2) + 1)
-	sy := m.dim(2) + 1
-	at := func(x, y, z int) int { return m.sum[x*sx+y*sy+z] }
+	s := m.sum
+	switch len(m.Dims) {
+	case 1:
+		return s[hi[0]] - s[lo[0]]
+	case 2:
+		sx := m.Dims[1] + 1
+		x0, x1 := lo[0]*sx, hi[0]*sx
+		return s[x1+hi[1]] - s[x0+hi[1]] - s[x1+lo[1]] + s[x0+lo[1]]
+	}
+	sy := m.Dims[2] + 1
+	sx := (m.Dims[1] + 1) * sy
+	at := func(x, y, z int) int { return s[x*sx+y*sy+z] }
+	l, h := lo, hi
 	return at(h[0], h[1], h[2]) - at(l[0], h[1], h[2]) - at(h[0], l[1], h[2]) - at(h[0], h[1], l[2]) +
 		at(l[0], l[1], h[2]) + at(l[0], h[1], l[2]) + at(h[0], l[1], l[2]) - at(l[0], l[1], l[2])
 }
 
-// dim returns the extent of right-aligned dimension k (leading
-// dimensions of lower-rank masks are 1).
-func (m *Mask) dim(k int) int {
-	d := len(m.Dims)
-	if k < 3-d {
-		return 1
-	}
-	return m.Dims[k-(3-d)]
+// RowRun returns how many consecutive rows from row r on (r, r+1, ...
+// along the second-to-last dimension, within one line of it) carry
+// exactly row r's bits; always 1 for a 1D mask. Executors run such
+// rows as one multi-row box: every row of it has the same active runs.
+func (m *Mask) RowRun(r int) int {
+	m.mustFinal()
+	return int(m.same[r])
 }
 
 // NextRun scans the unit-stride dimension of row r (the flattened

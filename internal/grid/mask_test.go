@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -193,5 +194,61 @@ func TestNamedMask(t *testing.T) {
 	}
 	if _, err := NamedMask("obstacle", []int{6, 7, 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaskRowRun checks the row-run table against a brute-force
+// comparison of rows, on masks whose rows repeat in runs (stripes
+// copied along the second-to-last dimension) and on random ones, and
+// that the summed-area table has the mask's own rank.
+func TestMaskRowRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, dims := range [][]int{{70}, {1, 5}, {23, 70}, {4, 9, 13}, {3, 1, 130}} {
+		for _, striped := range []bool{true, false} {
+			m := NewMask(dims)
+			ref := make([]bool, flatIdx(dims, dims)+1)
+			forEachPoint(dims, func(p []int) {
+				// A striped mask's bit depends on z and on the row's
+				// band of four along the second-to-last dimension.
+				on := rng.Intn(3) != 0
+				if striped {
+					band := 0
+					if d := len(p); d > 1 {
+						band = p[d-2] / 4
+					}
+					on = (p[len(p)-1]+band)%3 != 0
+				}
+				ref[flatIdx(dims, p)] = on
+				if !on {
+					m.Set(false, p...)
+				}
+			})
+			m.Finalize()
+			z := dims[len(dims)-1]
+			line := 1
+			if d := len(dims); d > 1 {
+				line = dims[d-2]
+			}
+			for r := 0; r < m.rows; r++ {
+				want := 1
+				for r+want < m.rows && (r+want)%line != 0 {
+					a, b := ref[r*z:(r+1)*z], ref[(r+want)*z:(r+want+1)*z]
+					if !slices.Equal(a, b) {
+						break
+					}
+					want++
+				}
+				if got := m.RowRun(r); got != want {
+					t.Fatalf("dims %v striped=%v row %d: RowRun = %d, want %d", dims, striped, r, got, want)
+				}
+			}
+			size := 1
+			for _, n := range dims {
+				size *= n + 1
+			}
+			if len(m.sum) != size {
+				t.Fatalf("dims %v: summed-area table of %d entries, want %d", dims, len(m.sum), size)
+			}
+		}
 	}
 }
