@@ -32,10 +32,17 @@ func RunFigure(out io.Writer, fig string, scale int, threads []int) error {
 	if len(workloads) == 0 {
 		return fmt.Errorf("bench: unknown figure %q (valid: 8, 9, 10, 11a, 11b, 12)", fig)
 	}
+	for i, w := range workloads {
+		workloads[i] = w.Scaled(scale)
+	}
+	return runFigure(out, fig, scale, workloads, threads)
+}
+
+// runFigure runs figure fig's workloads, already scaled by 1/scale.
+func runFigure(out io.Writer, fig string, scale int, workloads []Workload, threads []int) error {
 	schemes := FigureSchemes(fig)
-	for _, w := range workloads {
-		sw := w.Scaled(scale)
-		fmt.Fprintf(out, "# Figure %s: %s (scaled 1/%d: N=%v T=%d)\n", fig, w.Kernel, scale, sw.N, sw.Steps)
+	for _, sw := range workloads {
+		fmt.Fprintf(out, "# Figure %s: %s (scaled 1/%d: N=%v T=%d)\n", fig, sw.Kernel, scale, sw.N, sw.Steps)
 
 		if fig == "12" {
 			if err := runFig12(out, sw, schemes, threads); err != nil {
