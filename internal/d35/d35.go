@@ -9,8 +9,9 @@
 // plane x-BT leaves the pipeline fully advanced and is written out.
 //
 // Staging keeps every time level as three physically contiguous planes
-// inside one backing array; by passing offset slices of that array the
-// executor reuses the ordinary Spec.K3 row kernels unchanged, so the
+// inside one backing array; by passing offset slices of that array and
+// the staging's plane and row strides, the executor runs the spec's
+// resolved box kernel (stencil.Spec.ResolveBox) unchanged, so the
 // outputs stay bitwise identical to every other scheme. The price is
 // two plane copies per level per step — the original rotates registers
 // instead, but the schedule (and therefore the memory behaviour being
@@ -46,8 +47,11 @@ func (c *Config) Validate() error {
 
 // Run3D advances a 3D grid by steps time steps with 3.5D blocking.
 func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("d35: %s is not a 3D kernel", s.Name)
+	// One kernel resolution per run through the shared path selector
+	// (see core.SetKernelPath), like every other scheme.
+	k, err := s.ResolveBox(3, stencil.ActivePath())
+	if err != nil {
+		return fmt.Errorf("d35: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -67,7 +71,7 @@ func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 		// tiles would read neighbours' already-finalised ghost rows.
 		dst := g.Buf[(g.Step+1)&1]
 		pool.For(nty*ntz, func(ti int) {
-			runTile(g, s, src, dst, cfg, bt, sy, sz, (ti/ntz)*cfg.TY, (ti%ntz)*cfg.TZ)
+			runTile(g, k, src, dst, cfg, bt, sy, sz, (ti/ntz)*cfg.TY, (ti%ntz)*cfg.TZ)
 		})
 		if bt%2 == 0 {
 			// Keep the grid's invariant that current values live in
@@ -80,7 +84,7 @@ func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 }
 
 // runTile streams one y-z tile through the x pipeline for bt steps.
-func runTile(g *grid.Grid3D, s *stencil.Spec, src, dst []float64, cfg Config, bt, sy, sz, y0, z0 int) {
+func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config, bt, sy, sz, y0, z0 int) {
 	y1 := min(y0+cfg.TY, g.NY)
 	z1 := min(z0+cfg.TZ, g.NZ)
 	gy, gz := bt*sy, bt*sz // ghost widths
@@ -146,17 +150,12 @@ func runTile(g *grid.Grid3D, s *stencil.Spec, src, dst []float64, cfg Config, bt
 			if wylo >= wyhi || wzlo >= wzhi {
 				continue
 			}
-			// K3 over offset slices: dst slot 2 of level t aligns with
-			// the middle plane of level t-1 when the source slice is
-			// rebased one plane earlier (the padding plane guarantees
+			// One box over offset slices: dst slot 2 of level t aligns
+			// with the middle plane of level t-1 when the source slice
+			// is rebased one plane earlier (the padding plane guarantees
 			// the offset exists).
-			d := arr[off(t):]
-			sv := arr[off(t-1)-ps:]
-			n := wzhi - wzlo
-			for y := wylo; y < wyhi; y++ {
-				base := 2*ps + (y-ylo)*ph + (wzlo - zlo)
-				s.K3(d, sv, base, n, ph, ps)
-			}
+			base := 2*ps + (wylo-ylo)*ph + (wzlo - zlo)
+			k(arr[off(t):], arr[off(t-1)-ps:], base, [3]int{1, wyhi - wylo, wzhi - wzlo}, [3]int{ps, ph, 1})
 		}
 
 		// Drain: the plane leaving level bt is final; store its owned

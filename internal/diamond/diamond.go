@@ -1,15 +1,16 @@
 // Package diamond implements concurrent-start diamond tiling
 // [Bandishti et al., SC'12], the scheme Pluto generates and the
-// paper's primary comparator.
+// paper's primary comparator, and the multicore wavefront diamond
+// scheme of Girih [Malas et al.] on the same lattice.
 //
-// The 1D executor is a direct translation of the reference loop nest in
+// The executor is a direct translation of the reference loop nest in
 // the paper's artifact appendix: the iteration space is tiled by
 // diamonds of spatial extent BX and temporal extent 2*BT; all diamonds
 // of one level execute concurrently, and levels alternate between the
-// two interleaved diamond lattices. For 2D/3D grids the diamond runs
-// along the outermost (x) dimension and the inner dimensions are swept
-// in full, the common "leave inner dimensions uncut" realisation (see
-// DESIGN.md for the substitution note).
+// two interleaved diamond lattices. The diamond runs along the
+// outermost (x) dimension and the inner dimensions are swept in full,
+// the common "leave inner dimensions uncut" realisation (see DESIGN.md
+// for the substitution note).
 package diamond
 
 import (
@@ -43,6 +44,7 @@ func (c *Config) Validate(slopeX int) error {
 // leftmost diamond's waist, ix the lattice period, nb0[level] the block
 // count.
 type geometry struct {
+	n     int // domain extent along x
 	s     int // x slope
 	bx    int // waist width
 	ix    int
@@ -53,7 +55,7 @@ type geometry struct {
 }
 
 func newGeometry(cfg Config, n, slopeX, steps int) geometry {
-	g := geometry{s: slopeX, bt: cfg.BT, steps: steps}
+	g := geometry{n: n, s: slopeX, bt: cfg.BT, steps: steps}
 	g.bx = cfg.BX
 	g.ix = 2*g.bx - 2*cfg.BT*slopeX
 	g.xr[0] = g.bx
@@ -67,7 +69,7 @@ func newGeometry(cfg Config, n, slopeX, steps int) geometry {
 // bounds returns the clipped x interval of diamond n at level l, time
 // t; ok reports non-emptiness. The waist (maximal width) is at
 // t+1 == tt+bt, exactly the appendix's myabs(t+1, tt+bt) form.
-func (g *geometry) bounds(l, n, t, tt, domain int) (lo, hi int, ok bool) {
+func (g *geometry) bounds(l, n, t, tt int) (lo, hi int, ok bool) {
 	a := t + 1 - (tt + g.bt)
 	if a < 0 {
 		a = -a
@@ -77,95 +79,96 @@ func (g *geometry) bounds(l, n, t, tt, domain int) (lo, hi int, ok bool) {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > domain {
-		hi = domain
+	if hi > g.n {
+		hi = g.n
 	}
 	return lo, hi, lo < hi
 }
 
 // forEachLevel drives the appendix's outer loop: for each time window
-// tt (stride BT), all diamonds of the current level run in parallel
-// over [max(tt,0), min(tt+2*BT, steps)), then the level flips.
-func (g *geometry) forEachLevel(pool *par.Pool, body func(l, n, tt int)) {
+// tt (stride BT), body runs every diamond of the current level over
+// [max(tt,0), min(tt+2*BT, steps)), then the level flips.
+func (g *geometry) forEachLevel(body func(l, tt int)) {
 	level := 0
 	for tt := -g.bt; tt < g.steps; tt += g.bt {
-		l, tt := level, tt
-		pool.For(g.nb0[l], func(n int) { body(l, n, tt) })
+		body(level, tt)
 		level = 1 - level
 	}
 }
 
-// Run1D advances a 1D grid by steps time steps with diamond tiling.
-func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("diamond: %s is not a 1D kernel", s.Name)
-	}
-	if err := cfg.Validate(s.Slopes[0]); err != nil {
-		return err
-	}
+// prepare validates a run over v and resolves its box kernel and
+// lattice.
+func prepare(v grid.View, s *stencil.Spec, steps int, cfg Config) (stencil.BoxKernel, geometry, error) {
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, _ := s.Resolve1D(stencil.ActivePath())
-	geo := newGeometry(cfg, g.N, s.Slopes[0], steps)
-	h := g.H
-	geo.forEachLevel(pool, func(l, n, tt int) {
-		for t := max(tt, 0); t < min(tt+2*cfg.BT, steps); t++ {
-			if lo, hi, ok := geo.bounds(l, n, t, tt, g.N); ok {
-				k(g.Buf[(t+1)&1], g.Buf[t&1], lo+h, hi+h)
+	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	if err != nil {
+		return nil, geometry{}, err
+	}
+	if err := cfg.Validate(s.Slopes[0]); err != nil {
+		return nil, geometry{}, err
+	}
+	return k, newGeometry(cfg, v.N[0], s.Slopes[0], steps), nil
+}
+
+// box runs time step t of v over x in [lo, hi), the dimension-1 rows
+// [y0, y1) and every row of the dimensions past it.
+func box(v grid.View, k stencil.BoxKernel, t, lo, hi, y0, y1 int) {
+	base, n := v.Box([3]int{lo, y0}, [3]int{hi, y1, v.N[2]})
+	k(v.Dst(t), v.Src(t), base, n, v.S)
+}
+
+// Run advances the grid v views by steps time steps: diamonds along
+// x, full sweeps along the inner dimensions, every diamond of a level
+// in parallel.
+func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	k, geo, err := prepare(v, s, steps, cfg)
+	if err != nil {
+		return fmt.Errorf("diamond: %w", err)
+	}
+	geo.forEachLevel(func(l, tt int) {
+		pool.For(geo.nb0[l], func(n int) {
+			for t := max(tt, 0); t < min(tt+2*cfg.BT, steps); t++ {
+				if lo, hi, ok := geo.bounds(l, n, t, tt); ok {
+					box(v, k, t, lo, hi, 0, v.N[1])
+				}
 			}
-		}
+		})
 	})
-	g.Step += steps
+	*v.Step += steps
 	return nil
 }
 
-// Run2D advances a 2D grid by steps time steps: diamonds along x, full
-// sweep along y.
-func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("diamond: %s is not a 2D kernel", s.Name)
+// RunMWD advances v by steps time steps with the multicore wavefront
+// diamond scheme: Run's lattice, but one diamond at a time in
+// dependence order, with the pool splitting dimension 1 of each
+// diamond time slice. One diamond's working set stays resident in the
+// shared last-level cache; concurrency across diamonds is traded for
+// memory traffic, the behaviour Fig. 12 of the paper attributes to
+// Girih.
+func RunMWD(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	k, geo, err := prepare(v, s, steps, cfg)
+	if err != nil {
+		return fmt.Errorf("mwd: %w", err)
 	}
-	if err := cfg.Validate(s.Slopes[0]); err != nil {
-		return err
-	}
-	k, _ := s.Resolve2D(stencil.ActivePath())
-	geo := newGeometry(cfg, g.NX, s.Slopes[0], steps)
-	geo.forEachLevel(pool, func(l, n, tt int) {
-		for t := max(tt, 0); t < min(tt+2*cfg.BT, steps); t++ {
-			lo, hi, ok := geo.bounds(l, n, t, tt, g.NX)
-			if !ok {
-				continue
+	w := pool.Workers()
+	chunk := (v.N[1] + w - 1) / w
+	geo.forEachLevel(func(l, tt int) {
+		for n := 0; n < geo.nb0[l]; n++ {
+			for t := max(tt, 0); t < min(tt+2*cfg.BT, steps); t++ {
+				lo, hi, ok := geo.bounds(l, n, t, tt)
+				if !ok {
+					continue
+				}
+				pool.For(w, func(i int) {
+					if y0 := i * chunk; y0 < v.N[1] {
+						box(v, k, t, lo, hi, y0, min(y0+chunk, v.N[1]))
+					}
+				})
 			}
-			dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-			k(dst, src, g.Idx(lo, 0), hi-lo, g.NY, g.SY)
 		}
 	})
-	g.Step += steps
-	return nil
-}
-
-// Run3D advances a 3D grid by steps time steps: diamonds along x, full
-// sweeps along y and z.
-func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("diamond: %s is not a 3D kernel", s.Name)
-	}
-	if err := cfg.Validate(s.Slopes[0]); err != nil {
-		return err
-	}
-	k, _ := s.Resolve3D(stencil.ActivePath())
-	geo := newGeometry(cfg, g.NX, s.Slopes[0], steps)
-	geo.forEachLevel(pool, func(l, n, tt int) {
-		for t := max(tt, 0); t < min(tt+2*cfg.BT, steps); t++ {
-			lo, hi, ok := geo.bounds(l, n, t, tt, g.NX)
-			if !ok {
-				continue
-			}
-			dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-			k(dst, src, g.Idx(lo, 0, 0), hi-lo, g.NY, g.NZ, g.SY, g.SX)
-		}
-	})
-	g.Step += steps
+	*v.Step += steps
 	return nil
 }
 
@@ -175,10 +178,6 @@ func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 func Profile(cfg Config, n, slopeX, steps int) []int {
 	geo := newGeometry(cfg, n, slopeX, steps)
 	var out []int
-	level := 0
-	for tt := -geo.bt; tt < steps; tt += geo.bt {
-		out = append(out, geo.nb0[level])
-		level = 1 - level
-	}
+	geo.forEachLevel(func(l, _ int) { out = append(out, geo.nb0[l]) })
 	return out
 }

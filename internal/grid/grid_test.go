@@ -261,3 +261,40 @@ func TestInvalidShapesPanic(t *testing.T) {
 		}()
 	}
 }
+
+// Every grid's View indexes exactly like the grid itself, and its
+// buffers follow the grid's Step, not the run's first step.
+func TestViewMatchesGridLayout(t *testing.T) {
+	g1, g2, g3 := NewGrid1D(9, 2), NewGrid2D(7, 130, 1, 2), NewGrid3D(5, 6, 7, 1, 2, 1)
+	cases := []struct {
+		v   View
+		idx func(c [3]int) int
+	}{
+		{g1.View(), func(c [3]int) int { return c[0] + g1.H }},
+		{g2.View(), func(c [3]int) int { return g2.Idx(c[0], c[1]) }},
+		{g3.View(), func(c [3]int) int { return g3.Idx(c[0], c[1], c[2]) }},
+	}
+	for _, tc := range cases {
+		v := tc.v
+		lo, hi := [3]int{1, 2, 3}, v.N
+		for k := v.D; k < 3; k++ {
+			lo[k] = 0
+		}
+		base, n := v.Box(lo, hi)
+		if want := tc.idx(lo); base != want {
+			t.Errorf("%dD: Box base %d, want %d", v.D, base, want)
+		}
+		for k := 0; k < v.D; k++ {
+			if n[k] != v.N[k]-lo[k] {
+				t.Errorf("%dD: extent %d = %d, want %d", v.D, k, n[k], v.N[k]-lo[k])
+			}
+		}
+		*v.Step = 3
+		if &v.Src(0)[0] != &v.Buf[1][0] || &v.Dst(0)[0] != &v.Buf[0][0] || &v.Src(1)[0] != &v.Buf[0][0] {
+			t.Errorf("%dD: at Step 3 step 0 must read Buf[1] and write Buf[0]", v.D)
+		}
+	}
+	if g2.Step != 3 {
+		t.Errorf("View.Step does not point at the grid's Step")
+	}
+}

@@ -5,6 +5,8 @@
 package naive
 
 import (
+	"fmt"
+
 	"tessellate/internal/grid"
 	"tessellate/internal/par"
 	"tessellate/internal/stencil"
@@ -78,72 +80,41 @@ func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, pool *par.Pool) {
 	}
 }
 
-// SpaceTiled2D is the classic spatial rectangular tiling: each time
-// step is cut into bx-by-by tiles executed in parallel. It reuses data
-// within a step but, unlike temporal tiling, re-streams the whole grid
-// every step — the bandwidth-bound behaviour the paper's introduction
-// describes.
-func SpaceTiled2D(g *grid.Grid2D, s *stencil.Spec, steps, bx, by int, pool *par.Pool) {
-	if bx <= 0 {
-		bx = 64
+// SpaceTiled is the classic spatial rectangular tiling: each time step
+// of the grid v views is cut into tiles of tile[k] cells along each
+// dimension k < len(tile), executed in parallel; the other dimensions
+// (in 3D the unit-stride one, the convention of all schemes in the
+// paper's evaluation) and any with tile[k] <= 0 stay uncut. It reuses
+// data within a step but, unlike temporal tiling, re-streams the whole
+// grid every step — the bandwidth-bound behaviour the paper's
+// introduction describes.
+func SpaceTiled(v grid.View, s *stencil.Spec, steps int, tile []int, pool *par.Pool) error {
+	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	if err != nil {
+		return fmt.Errorf("naive: %w", err)
 	}
-	if by <= 0 {
-		by = 64
+	ext, nt := v.N, [3]int{1, 1, 1}
+	for d := 0; d < min(len(tile), v.D); d++ {
+		if tile[d] > 0 {
+			ext[d] = tile[d]
+			nt[d] = (v.N[d] + ext[d] - 1) / ext[d]
+		}
 	}
-	k, _ := s.Resolve2D(stencil.ActivePath())
-	ntx := (g.NX + bx - 1) / bx
-	nty := (g.NY + by - 1) / by
 	for t := 0; t < steps; t++ {
-		src := g.Buf[g.Step&1]
-		dst := g.Buf[(g.Step+1)&1]
-		run := func(i int) {
-			tx, ty := i/nty, i%nty
-			x0, y0 := tx*bx, ty*by
-			x1, y1 := min(x0+bx, g.NX), min(y0+by, g.NY)
-			k(dst, src, g.Idx(x0, y0), x1-x0, y1-y0, g.SY)
-		}
-		if pool == nil {
-			for i := 0; i < ntx*nty; i++ {
-				run(i)
+		dst, src := v.Dst(0), v.Src(0)
+		pool.For(nt[0]*nt[1]*nt[2], func(i int) {
+			var lo, hi [3]int
+			for d := 2; d >= 0; d-- {
+				lo[d] = (i % nt[d]) * ext[d]
+				hi[d] = min(lo[d]+ext[d], v.N[d])
+				i /= nt[d]
 			}
-		} else {
-			pool.For(ntx*nty, run)
-		}
-		g.Step++
+			base, n := v.Box(lo, hi)
+			k(dst, src, base, n, v.S)
+		})
+		*v.Step++
 	}
-}
-
-// SpaceTiled3D is the 3D analogue of SpaceTiled2D with the unit-stride
-// dimension left uncut, the convention of all schemes in the paper's
-// evaluation.
-func SpaceTiled3D(g *grid.Grid3D, s *stencil.Spec, steps, bx, by int, pool *par.Pool) {
-	if bx <= 0 {
-		bx = 16
-	}
-	if by <= 0 {
-		by = 16
-	}
-	k, _ := s.Resolve3D(stencil.ActivePath())
-	ntx := (g.NX + bx - 1) / bx
-	nty := (g.NY + by - 1) / by
-	for t := 0; t < steps; t++ {
-		src := g.Buf[g.Step&1]
-		dst := g.Buf[(g.Step+1)&1]
-		run := func(i int) {
-			tx, ty := i/nty, i%nty
-			x0, y0 := tx*bx, ty*by
-			x1, y1 := min(x0+bx, g.NX), min(y0+by, g.NY)
-			k(dst, src, g.Idx(x0, y0, 0), x1-x0, y1-y0, g.NZ, g.SY, g.SX)
-		}
-		if pool == nil {
-			for i := 0; i < ntx*nty; i++ {
-				run(i)
-			}
-		} else {
-			pool.For(ntx*nty, run)
-		}
-		g.Step++
-	}
+	return nil
 }
 
 // RunND advances an n-dimensional grid by steps time steps of the

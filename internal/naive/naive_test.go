@@ -60,7 +60,9 @@ func TestSpaceTiledMatchesNaive(t *testing.T) {
 	a.Fill(func(x, y int) float64 { return rng.Float64() })
 	b := a.Clone()
 	Run2D(a, stencil.Box2D9, 6, nil)
-	SpaceTiled2D(b, stencil.Box2D9, 6, 13, 9, pool)
+	if err := SpaceTiled(b.View(), stencil.Box2D9, 6, []int{13, 9}, pool); err != nil {
+		t.Fatal(err)
+	}
 	if r := verify.Grids2D(a, b); !r.Equal {
 		t.Fatal(r.Error("space-tiled-2d"))
 	}
@@ -69,7 +71,9 @@ func TestSpaceTiledMatchesNaive(t *testing.T) {
 	a3.Fill(func(x, y, z int) float64 { return rng.Float64() })
 	b3 := a3.Clone()
 	Run3D(a3, stencil.Box3D27, 4, nil)
-	SpaceTiled3D(b3, stencil.Box3D27, 4, 5, 6, pool)
+	if err := SpaceTiled(b3.View(), stencil.Box3D27, 4, []int{5, 6}, pool); err != nil {
+		t.Fatal(err)
+	}
 	if r := verify.Grids3D(a3, b3); !r.Equal {
 		t.Fatal(r.Error("space-tiled-3d"))
 	}

@@ -148,71 +148,24 @@ func (c *Config) validate(d int) error {
 	return nil
 }
 
-// Run1D advances a 1D grid by steps time steps.
-func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("oblivious: %s is not a 1D kernel", s.Name)
+// Run advances the grid v views by steps time steps.
+func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	// One kernel resolution per run through the shared path selector
+	// (see core.SetKernelPath), like every other scheme.
+	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	if err != nil {
+		return fmt.Errorf("oblivious: %w", err)
 	}
-	if err := cfg.validate(1); err != nil {
+	if err := cfg.validate(v.D); err != nil {
 		return err
 	}
-	h := g.H
-	w := &walker{d: 1, cfg: cfg, lim: par.NewLimiter(pool.Workers())}
-	w.slopes[0] = s.Slopes[0]
+	w := &walker{d: v.D, cfg: cfg, lim: par.NewLimiter(pool.Workers())}
+	copy(w.slopes[:], s.Slopes)
 	w.box = func(t int, lo, hi [3]int) {
-		s.K1(g.Buf[(t+1)&1], g.Buf[t&1], lo[0]+h, hi[0]+h)
+		base, n := v.Box(lo, hi)
+		k(v.Dst(t), v.Src(t), base, n, v.S)
 	}
-	var z zoid
-	z.x1[0] = g.N
-	w.walk(0, steps, z)
-	g.Step += steps
-	return nil
-}
-
-// Run2D advances a 2D grid by steps time steps.
-func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("oblivious: %s is not a 2D kernel", s.Name)
-	}
-	if err := cfg.validate(2); err != nil {
-		return err
-	}
-	w := &walker{d: 2, cfg: cfg, lim: par.NewLimiter(pool.Workers())}
-	w.slopes[0], w.slopes[1] = s.Slopes[0], s.Slopes[1]
-	w.box = func(t int, lo, hi [3]int) {
-		dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-		for x := lo[0]; x < hi[0]; x++ {
-			s.K2(dst, src, g.Idx(x, lo[1]), hi[1]-lo[1], g.SY)
-		}
-	}
-	var z zoid
-	z.x1[0], z.x1[1] = g.NX, g.NY
-	w.walk(0, steps, z)
-	g.Step += steps
-	return nil
-}
-
-// Run3D advances a 3D grid by steps time steps.
-func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("oblivious: %s is not a 3D kernel", s.Name)
-	}
-	if err := cfg.validate(3); err != nil {
-		return err
-	}
-	w := &walker{d: 3, cfg: cfg, lim: par.NewLimiter(pool.Workers())}
-	w.slopes[0], w.slopes[1], w.slopes[2] = s.Slopes[0], s.Slopes[1], s.Slopes[2]
-	w.box = func(t int, lo, hi [3]int) {
-		dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-		for x := lo[0]; x < hi[0]; x++ {
-			for y := lo[1]; y < hi[1]; y++ {
-				s.K3(dst, src, g.Idx(x, y, lo[2]), hi[2]-lo[2], g.SY, g.SX)
-			}
-		}
-	}
-	var z zoid
-	z.x1[0], z.x1[1], z.x1[2] = g.NX, g.NY, g.NZ
-	w.walk(0, steps, z)
-	g.Step += steps
+	w.walk(0, steps, zoid{x1: v.N})
+	*v.Step += steps
 	return nil
 }

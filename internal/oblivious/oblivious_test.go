@@ -31,7 +31,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 				g.Fill(func(x int) float64 { return rng.Float64() })
 				g.SetBoundary(2)
 				ref := g.Clone()
-				if err := Run1D(g, s, steps, cfg, pool); err != nil {
+				if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 					t.Fatal(err)
 				}
 				naive.Run1D(ref, s, steps, nil)
@@ -56,7 +56,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 				g.Fill(func(x, y int) float64 { return rng.Float64() })
 			}
 			ref := g.Clone()
-			if err := Run2D(g, s, 11, cfg, pool); err != nil {
+			if err := Run(g.View(), s, 11, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
 			naive.Run2D(ref, s, 11, nil)
@@ -76,7 +76,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 			rng := rand.New(rand.NewSource(33))
 			g.Fill(func(x, y, z int) float64 { return rng.Float64() })
 			ref := g.Clone()
-			if err := Run3D(g, s, 6, cfg, pool); err != nil {
+			if err := Run(g.View(), s, 6, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
 			naive.Run3D(ref, s, 6, nil)
@@ -102,7 +102,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		g := grid.NewGrid2D(nx, ny, 1, 1)
 		g.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := g.Clone()
-		if err := Run2D(g, stencil.Heat2D, steps, cfg, pool); err != nil {
+		if err := Run(g.View(), stencil.Heat2D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
 		naive.Run2D(ref, stencil.Heat2D, steps, nil)
@@ -127,13 +127,13 @@ func TestConfigValidation(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	g := grid.NewGrid1D(10, 1)
-	if err := Run1D(g, stencil.Heat1D, 2, Config{TCut: 0, SCut: []int{4}}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat1D, 2, Config{TCut: 0, SCut: []int{4}}, pool); err == nil {
 		t.Error("TCut=0 accepted")
 	}
-	if err := Run1D(g, stencil.Heat1D, 2, Config{TCut: 2, SCut: []int{4, 4}}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat1D, 2, Config{TCut: 2, SCut: []int{4, 4}}, pool); err == nil {
 		t.Error("rank mismatch accepted")
 	}
-	if err := Run1D(g, stencil.Heat2D, 2, DefaultConfig(1), pool); err == nil {
-		t.Error("2D kernel accepted by Run1D")
+	if err := Run(g.View(), stencil.Heat2D, 2, DefaultConfig(1), pool); err == nil {
+		t.Error("2D kernel accepted on a 1D grid")
 	}
 }

@@ -61,8 +61,11 @@ func (c *Config) RedundancyFactor(slopes []int) float64 {
 // are entirely independent within a time band; results are copied back
 // to the owned region only.
 func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("overlap: %s is not a 2D kernel", s.Name)
+	// One kernel resolution per run through the shared path selector
+	// (see core.SetKernelPath), like every other scheme.
+	k, err := s.ResolveBox(2, stencil.ActivePath())
+	if err != nil {
+		return fmt.Errorf("overlap: %w", err)
 	}
 	if err := cfg.Validate(2); err != nil {
 		return err
@@ -110,9 +113,7 @@ func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 				// Keep boundary and not-yet-overwritten cells in the
 				// destination buffer.
 				copy(b, a)
-				for x := xlo; x < xhi; x++ {
-					s.K2(b, a, x*h+ylo, yhi-ylo, h)
-				}
+				k(b, a, xlo*h+ylo, [3]int{xhi - xlo, yhi - ylo}, [3]int{h, 1})
 				a, b = b, a
 			}
 			// Extract the owned region at its final offset.

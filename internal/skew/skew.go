@@ -63,108 +63,42 @@ func newTileGrid(cfg Config, n, slopes []int, steps int) tileGrid {
 	return tg
 }
 
-// bounds returns the unskewed spatial interval of tile index i in
-// dimension k at global time t, clipped to the domain; ok reports
-// non-emptiness.
-func (tg *tileGrid) bounds(k, i, t int) (lo, hi int, ok bool) {
-	lo = i*tg.cfg.BX[k] - t*tg.slopes[k]
-	hi = lo + tg.cfg.BX[k]
-	if lo < 0 {
-		lo = 0
+// box sets [lo, hi) to the unskewed spatial box of the tile with
+// spatial index idx at global time t, clipped to the domain, and
+// reports whether it is non-empty.
+func (tg *tileGrid) box(idx []int, t int, lo, hi *[3]int) bool {
+	for k, i := range idx {
+		p := i*tg.cfg.BX[k] - t*tg.slopes[k] // unskewed start at time t
+		lo[k], hi[k] = max(p, 0), min(p+tg.cfg.BX[k], tg.n[k])
+		if lo[k] >= hi[k] {
+			return false
+		}
 	}
-	if hi > tg.n[k] {
-		hi = tg.n[k]
-	}
-	return lo, hi, lo < hi
+	return true
 }
 
-// Run1D advances a 1D grid by steps time steps.
-func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("skew: %s is not a 1D kernel", s.Name)
-	}
-	if err := cfg.Validate(1); err != nil {
+// Run advances the grid v views by steps time steps.
+func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	if err := cfg.Validate(v.D); err != nil {
 		return err
 	}
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, _ := s.Resolve1D(stencil.ActivePath())
-	tg := newTileGrid(cfg, []int{g.N}, s.Slopes, steps)
-	h := g.H
+	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	if err != nil {
+		return fmt.Errorf("skew: %w", err)
+	}
+	tg := newTileGrid(cfg, v.N[:v.D], s.Slopes, steps)
 	forEachWavefront(pool, tg.bands, tg.nt, func(j int, idx []int) {
-		t0 := j * cfg.BT
-		t1 := min(t0+cfg.BT, steps)
-		for t := t0; t < t1; t++ {
-			if lo, hi, ok := tg.bounds(0, idx[0], t); ok {
-				k(g.Buf[(t+1)&1], g.Buf[t&1], lo+h, hi+h)
+		for t := j * cfg.BT; t < min((j+1)*cfg.BT, steps); t++ {
+			var lo, hi [3]int
+			if tg.box(idx, t, &lo, &hi) {
+				base, n := v.Box(lo, hi)
+				k(v.Dst(t), v.Src(t), base, n, v.S)
 			}
 		}
 	})
-	g.Step += steps
-	return nil
-}
-
-// Run2D advances a 2D grid by steps time steps.
-func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("skew: %s is not a 2D kernel", s.Name)
-	}
-	if err := cfg.Validate(2); err != nil {
-		return err
-	}
-	k, _ := s.Resolve2D(stencil.ActivePath())
-	tg := newTileGrid(cfg, []int{g.NX, g.NY}, s.Slopes, steps)
-	forEachWavefront(pool, tg.bands, tg.nt, func(j int, idx []int) {
-		t0 := j * cfg.BT
-		t1 := min(t0+cfg.BT, steps)
-		for t := t0; t < t1; t++ {
-			xlo, xhi, ok := tg.bounds(0, idx[0], t)
-			if !ok {
-				continue
-			}
-			ylo, yhi, ok := tg.bounds(1, idx[1], t)
-			if !ok {
-				continue
-			}
-			dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-			k(dst, src, g.Idx(xlo, ylo), xhi-xlo, yhi-ylo, g.SY)
-		}
-	})
-	g.Step += steps
-	return nil
-}
-
-// Run3D advances a 3D grid by steps time steps.
-func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("skew: %s is not a 3D kernel", s.Name)
-	}
-	if err := cfg.Validate(3); err != nil {
-		return err
-	}
-	k, _ := s.Resolve3D(stencil.ActivePath())
-	tg := newTileGrid(cfg, []int{g.NX, g.NY, g.NZ}, s.Slopes, steps)
-	forEachWavefront(pool, tg.bands, tg.nt, func(j int, idx []int) {
-		t0 := j * cfg.BT
-		t1 := min(t0+cfg.BT, steps)
-		for t := t0; t < t1; t++ {
-			xlo, xhi, ok := tg.bounds(0, idx[0], t)
-			if !ok {
-				continue
-			}
-			ylo, yhi, ok := tg.bounds(1, idx[1], t)
-			if !ok {
-				continue
-			}
-			zlo, zhi, ok := tg.bounds(2, idx[2], t)
-			if !ok {
-				continue
-			}
-			dst, src := g.Buf[(t+1)&1], g.Buf[t&1]
-			k(dst, src, g.Idx(xlo, ylo, zlo), xhi-xlo, yhi-ylo, zhi-zlo, g.SY, g.SX)
-		}
-	})
-	g.Step += steps
+	*v.Step += steps
 	return nil
 }
 

@@ -22,7 +22,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 			g.Fill(func(x int) float64 { return rng.Float64() })
 			g.SetBoundary(0.5)
 			ref := g.Clone()
-			if err := Run1D(g, s, steps, cfg, pool); err != nil {
+			if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
 			naive.Run1D(ref, s, steps, nil)
@@ -47,7 +47,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 		}
 		g.SetBoundary(0)
 		ref := g.Clone()
-		if err := Run2D(g, s, 8, cfg, pool); err != nil {
+		if err := Run(g.View(), s, 8, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
 		naive.Run2D(ref, s, 8, nil)
@@ -67,7 +67,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 		g.Fill(func(x, y, z int) float64 { return rng.Float64() })
 		g.SetBoundary(0.25)
 		ref := g.Clone()
-		if err := Run3D(g, s, 5, cfg, pool); err != nil {
+		if err := Run(g.View(), s, 5, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
 		naive.Run3D(ref, s, 5, nil)
@@ -92,7 +92,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		g := grid.NewGrid2D(nx, ny, 1, 1)
 		g.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := g.Clone()
-		if err := Run2D(g, stencil.Heat2D, steps, cfg, pool); err != nil {
+		if err := Run(g.View(), stencil.Heat2D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
 		naive.Run2D(ref, stencil.Heat2D, steps, nil)
@@ -115,7 +115,7 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	g := grid.NewGrid1D(10, 1)
-	if err := Run1D(g, stencil.Heat2D, 2, Config{BT: 1, BX: []int{4}}, pool); err == nil {
-		t.Error("2D kernel accepted by Run1D")
+	if err := Run(g.View(), stencil.Heat2D, 2, Config{BT: 1, BX: []int{4}}, pool); err == nil {
+		t.Error("2D kernel accepted on a 1D grid")
 	}
 }

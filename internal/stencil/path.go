@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"os"
 	"sync/atomic"
 )
@@ -44,8 +45,8 @@ func (p Path) String() string {
 }
 
 // active is the process-wide dispatch ceiling. It lives here — not in
-// core — so the baseline schemes (naive, skew, diamond) can sample the
-// same selector without importing the tessellation executor;
+// core — so every scheme, the baselines included, samples the same
+// selector without importing the tessellation executor;
 // core.SetKernelPath is the policy front-end that stores through
 // SetActivePath. Every run samples it exactly once at run start, so a
 // concurrent switch never mixes paths within a run.
@@ -134,4 +135,31 @@ func (s *Spec) Resolve3D(p Path) (Kernel3DBlock, Path) {
 			base += sx
 		}
 	}, PathRow
+}
+
+// BoxKernel is a whole-box kernel for a grid of any rank up to 3: it
+// updates the box of extents n whose low corner has flat index base, in
+// a layout of per-dimension strides st (dimension 0 outermost, the last
+// one unit-stride). Entries past the kernel's rank are ignored.
+type BoxKernel func(dst, src []float64, base int, n, st [3]int)
+
+// ResolveBox returns s's box kernel on the highest tier up to p that s
+// carries, through Resolve1D, Resolve2D or Resolve3D. It fails unless s
+// is a d-dimensional kernel with its row kernel set, the tier every
+// other one falls back to.
+func (s *Spec) ResolveBox(d int, p Path) (BoxKernel, error) {
+	switch {
+	case d == 1 && s.Dims == 1 && s.K1 != nil:
+		k, _ := s.Resolve1D(p)
+		return func(dst, src []float64, base int, n, _ [3]int) { k(dst, src, base, base+n[0]) }, nil
+	case d == 2 && s.Dims == 2 && s.K2 != nil:
+		k, _ := s.Resolve2D(p)
+		return func(dst, src []float64, base int, n, st [3]int) { k(dst, src, base, n[0], n[1], st[0]) }, nil
+	case d == 3 && s.Dims == 3 && s.K3 != nil:
+		k, _ := s.Resolve3D(p)
+		return func(dst, src []float64, base int, n, st [3]int) {
+			k(dst, src, base, n[0], n[1], n[2], st[1], st[0])
+		}, nil
+	}
+	return nil, fmt.Errorf("%s is not a %dD kernel", s.Name, d)
 }

@@ -1,12 +1,15 @@
 // Package stencil defines the stencil kernels evaluated in the paper
 // (Table 4) plus a generic star/box kernel of arbitrary order, and the
-// row-update functions every tiling scheme shares.
+// kernel tiers every tiling scheme dispatches to.
 //
-// All schemes — naive, space-tiled, time-skewed, diamond, cache
-// oblivious, MWD and the paper's tessellation — call the *same* row
-// kernels, so for a fixed input any two correct schedules produce
-// bitwise-identical grids. The test suite exploits this: scheduling
-// bugs surface as exact mismatches, no floating-point tolerance needed.
+// Every scheme — naive, space-tiled, time-skewed, diamond, cache
+// oblivious, MWD, overlapped, 3.5D and the paper's tessellation —
+// resolves one box kernel per run through ActivePath (ResolveBox, or
+// Resolve1D/2D/3D), and every tier evaluates each point in the row
+// kernel's order; the row tier is the fallback and the oracle. So for a
+// fixed input any two correct schedules produce bitwise-identical grids
+// on every tier. The test suite exploits this: scheduling bugs surface
+// as exact mismatches, no floating-point tolerance needed.
 package stencil
 
 import "fmt"

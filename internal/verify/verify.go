@@ -1,6 +1,6 @@
-// Package verify compares the outputs of two stencil schedules. All
-// schemes in this repository share the same row kernels, so correct
-// schedules produce bitwise-identical grids; any mismatch is a
+// Package verify compares the outputs of two stencil schedules. Every
+// kernel tier evaluates each point in the row kernel's order, so
+// correct schedules produce bitwise-identical grids; any mismatch is a
 // scheduling bug, and Diff pinpoints the first differing point.
 package verify
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"tessellate/internal/core"
-	"tessellate/internal/naive"
+	"tessellate/internal/grid"
 	"tessellate/internal/stencil"
 )
 
@@ -44,99 +44,71 @@ func checkPipelineRun(p *Pipeline, dims, steps int, opt Options) ([]int, error) 
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline1D(g *Grid1D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	slopes, err := checkPipelineRun(p, 1, steps, opt)
-	if err != nil {
-		return err
-	}
-	if opt.Scheme == Naive {
-		return naive.RunPipeline1D(g, p, steps, e.pool, m)
-	}
-	sched, err := tessSchedule([]int{g.N}, slopes, p.StencilStages(), steps, opt)
-	if err != nil {
-		return err
-	}
-	return core.Run1D(g, p, sched, e.pool, m, nil)
+	return e.runPipeline(g, g.View(), p, steps, m, opt)
 }
 
 // RunPipeline2D advances a 2D grid by steps logical time steps of the
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline2D(g *Grid2D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	slopes, err := checkPipelineRun(p, 2, steps, opt)
-	if err != nil {
-		return err
-	}
-	if opt.Scheme == Naive {
-		return naive.RunPipeline2D(g, p, steps, e.pool, m)
-	}
-	sched, err := tessSchedule([]int{g.NX, g.NY}, slopes, p.StencilStages(), steps, opt)
-	if err != nil {
-		return err
-	}
-	return core.Run2D(g, p, sched, e.pool, m, nil)
+	return e.runPipeline(g, g.View(), p, steps, m, opt)
 }
 
 // RunPipeline3D advances a 3D grid by steps logical time steps of the
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline3D(g *Grid3D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	slopes, err := checkPipelineRun(p, 3, steps, opt)
-	if err != nil {
-		return err
-	}
-	if opt.Scheme == Naive {
-		return naive.RunPipeline3D(g, p, steps, e.pool, m)
-	}
-	sched, err := tessSchedule([]int{g.NX, g.NY, g.NZ}, slopes, p.StencilStages(), steps, opt)
-	if err != nil {
-		return err
-	}
-	return core.Run3D(g, p, sched, e.pool, m, nil)
+	return e.runPipeline(g, g.View(), p, steps, m, opt)
 }
 
-// checkMaskedRun validates the common masked-run arguments.
-func checkMaskedRun(s *Stencil, m *Mask, dims, steps int, opt Options) error {
-	if steps < 0 {
-		return fmt.Errorf("tessellate: negative steps %d", steps)
+// runPipeline is RunPipeline1D, RunPipeline2D and RunPipeline3D on g,
+// whose layout is v.
+func (e *Engine) runPipeline(g any, v grid.View, p *Pipeline, steps int, m *Mask, opt Options) error {
+	slopes, err := checkPipelineRun(p, v.D, steps, opt)
+	if err != nil {
+		return err
 	}
-	if s.Dims != dims {
-		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is %dD", s.Name, s.Dims, dims)
+	var sched *core.Schedule
+	if opt.Scheme == Tessellation {
+		if sched, err = tessSchedule(v.Extents(), slopes, p.StencilStages(), steps, opt); err != nil {
+			return err
+		}
 	}
-	if m == nil {
-		return fmt.Errorf("tessellate: masked run requires a mask (use Run%dD for full domains)", dims)
-	}
-	if opt.Scheme != Tessellation && opt.Scheme != Naive {
-		return fmt.Errorf("tessellate: masked runs support the tessellation and naive schemes, got %v", opt.Scheme)
-	}
-	return nil
+	return e.typed(g, nil, p, m, sched, steps)
 }
 
 // RunMasked1D advances the active cells of a masked 1D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked1D(g *Grid1D, s *Stencil, steps int, m *Mask, opt Options) error {
-	if err := checkMaskedRun(s, m, 1, steps, opt); err != nil {
-		return err
-	}
-	return e.RunPipeline1D(g, stencil.OneStage(s), steps, m, opt)
+	return e.runMasked(g, g.View(), s, steps, m, opt)
 }
 
 // RunMasked2D advances the active cells of a masked 2D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked2D(g *Grid2D, s *Stencil, steps int, m *Mask, opt Options) error {
-	if err := checkMaskedRun(s, m, 2, steps, opt); err != nil {
-		return err
-	}
-	return e.RunPipeline2D(g, stencil.OneStage(s), steps, m, opt)
+	return e.runMasked(g, g.View(), s, steps, m, opt)
 }
 
 // RunMasked3D advances the active cells of a masked 3D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked3D(g *Grid3D, s *Stencil, steps int, m *Mask, opt Options) error {
-	if err := checkMaskedRun(s, m, 3, steps, opt); err != nil {
+	return e.runMasked(g, g.View(), s, steps, m, opt)
+}
+
+// runMasked is RunMasked1D, RunMasked2D and RunMasked3D on g, whose
+// layout is v.
+func (e *Engine) runMasked(g any, v grid.View, s *Stencil, steps int, m *Mask, opt Options) error {
+	if err := checkStencilRun(s, v.D, steps, opt); err != nil {
 		return err
 	}
-	return e.RunPipeline3D(g, stencil.OneStage(s), steps, m, opt)
+	if m == nil {
+		return fmt.Errorf("tessellate: masked run requires a mask (use Run%dD for full domains)", v.D)
+	}
+	if opt.Scheme != Tessellation && opt.Scheme != Naive {
+		return fmt.Errorf("tessellate: masked runs support the tessellation and naive schemes, got %v", opt.Scheme)
+	}
+	return e.runPipeline(g, v, stencil.OneStage(s), steps, m, opt)
 }

@@ -8,8 +8,9 @@
 // naive and space-tiled sweeps, time-skewed wavefront tiling,
 // concurrent-start diamond tiling (Pluto), cache-oblivious trapezoidal
 // decomposition (Pochoir) and a multicore wavefront diamond scheme
-// (Girih/MWD) — all running the same row kernels, so every scheme
-// produces bitwise-identical results on the same input.
+// (Girih/MWD) — all resolving one box kernel per run on the same kernel
+// tier, so every scheme produces bitwise-identical results on the same
+// input.
 //
 // # Quick start
 //
@@ -31,7 +32,6 @@ import (
 	"tessellate/internal/d35"
 	"tessellate/internal/diamond"
 	"tessellate/internal/grid"
-	"tessellate/internal/mwd"
 	"tessellate/internal/naive"
 	"tessellate/internal/oblivious"
 	"tessellate/internal/overlap"
@@ -311,123 +311,103 @@ func (e *Engine) AllocGrid3D(nx, ny, nz, hx, hy, hz int) *Grid3D {
 
 // Run1D advances a 1D grid by steps time steps of s under opt.
 func (e *Engine) Run1D(g *Grid1D, s *Stencil, steps int, opt Options) error {
-	if steps < 0 {
-		return fmt.Errorf("tessellate: negative steps %d", steps)
-	}
-	if s.Dims != 1 {
-		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 1D", s.Name, s.Dims)
-	}
-	if err := checkPeriodic(opt); err != nil {
-		return err
-	}
-	n := []int{g.N}
-	switch opt.Scheme {
-	case Tessellation:
-		sched, err := tessSchedule(n, s.Slopes, 1, steps, opt)
-		if err != nil {
-			return err
-		}
-		return core.Run1D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
-	case Naive, SpaceTiled:
-		naive.Run1D(g, s, steps, e.pool)
-		return nil
-	case Skewed:
-		return skew.Run1D(g, s, steps, skewConfig(n, s, opt), e.pool)
-	case Diamond:
-		return diamond.Run1D(g, s, steps, diamondConfig(s, opt), e.pool)
-	case Oblivious:
-		return oblivious.Run1D(g, s, steps, obliviousConfig(1, opt), e.pool)
-	case MWD, Overlapped, D35:
-		return fmt.Errorf("tessellate: scheme %v is not available in 1D", opt.Scheme)
-	default:
-		return fmt.Errorf("tessellate: unknown scheme %v", opt.Scheme)
-	}
+	return e.run(g, g.View(), s, steps, opt)
 }
 
 // Run2D advances a 2D grid by steps time steps of s under opt.
 func (e *Engine) Run2D(g *Grid2D, s *Stencil, steps int, opt Options) error {
-	if steps < 0 {
-		return fmt.Errorf("tessellate: negative steps %d", steps)
-	}
-	if s.Dims != 2 {
-		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 2D", s.Name, s.Dims)
-	}
-	if err := checkPeriodic(opt); err != nil {
-		return err
-	}
-	n := []int{g.NX, g.NY}
-	switch opt.Scheme {
-	case Tessellation:
-		sched, err := tessSchedule(n, s.Slopes, 1, steps, opt)
-		if err != nil {
-			return err
-		}
-		return core.Run2D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
-	case Naive:
-		naive.Run2D(g, s, steps, e.pool)
-		return nil
-	case SpaceTiled:
-		bx, by := blockOr(opt.Block, 0, 64), blockOr(opt.Block, 1, 64)
-		naive.SpaceTiled2D(g, s, steps, bx, by, e.pool)
-		return nil
-	case Skewed:
-		return skew.Run2D(g, s, steps, skewConfig(n, s, opt), e.pool)
-	case Diamond:
-		return diamond.Run2D(g, s, steps, diamondConfig(s, opt), e.pool)
-	case Oblivious:
-		return oblivious.Run2D(g, s, steps, obliviousConfig(2, opt), e.pool)
-	case MWD:
-		return mwd.Run2D(g, s, steps, mwdConfig(s, opt), e.pool)
-	case Overlapped:
-		return overlap.Run2D(g, s, steps, overlapConfig(s, opt), e.pool)
-	case D35:
-		return fmt.Errorf("tessellate: scheme %v is not available in 2D", opt.Scheme)
-	default:
-		return fmt.Errorf("tessellate: unknown scheme %v", opt.Scheme)
-	}
+	return e.run(g, g.View(), s, steps, opt)
 }
 
 // Run3D advances a 3D grid by steps time steps of s under opt.
 func (e *Engine) Run3D(g *Grid3D, s *Stencil, steps int, opt Options) error {
-	if steps < 0 {
-		return fmt.Errorf("tessellate: negative steps %d", steps)
-	}
-	if s.Dims != 3 {
-		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is 3D", s.Name, s.Dims)
-	}
-	if err := checkPeriodic(opt); err != nil {
+	return e.run(g, g.View(), s, steps, opt)
+}
+
+// run is Run1D, Run2D and Run3D on g, whose layout is v.
+func (e *Engine) run(g any, v grid.View, s *Stencil, steps int, opt Options) error {
+	if err := checkStencilRun(s, v.D, steps, opt); err != nil {
 		return err
 	}
-	n := []int{g.NX, g.NY, g.NZ}
 	switch opt.Scheme {
 	case Tessellation:
-		sched, err := tessSchedule(n, s.Slopes, 1, steps, opt)
+		sched, err := tessSchedule(v.Extents(), s.Slopes, 1, steps, opt)
 		if err != nil {
 			return err
 		}
-		return core.Run3D(g, stencil.OneStage(s), sched, e.pool, nil, nil)
-	case Naive:
-		naive.Run3D(g, s, steps, e.pool)
-		return nil
+		return e.typed(g, nil, stencil.OneStage(s), nil, sched, steps)
 	case SpaceTiled:
-		bx, by := blockOr(opt.Block, 0, 16), blockOr(opt.Block, 1, 16)
-		naive.SpaceTiled3D(g, s, steps, bx, by, e.pool)
-		return nil
+		if v.D > 1 {
+			def := 64
+			if v.D == 3 {
+				def = 16
+			}
+			tile := []int{blockOr(opt.Block, 0, def), blockOr(opt.Block, 1, def)}
+			return naive.SpaceTiled(v, s, steps, tile, e.pool)
+		}
+		// A 1D space tile is the naive sweep's per-worker chunk.
+		fallthrough
+	case Naive:
+		return e.typed(g, s, nil, nil, nil, steps)
 	case Skewed:
-		return skew.Run3D(g, s, steps, skewConfig(n, s, opt), e.pool)
+		return skew.Run(v, s, steps, skewConfig(s, opt), e.pool)
 	case Diamond:
-		return diamond.Run3D(g, s, steps, diamondConfig(s, opt), e.pool)
+		return diamond.Run(v, s, steps, diamondConfig(s, opt), e.pool)
 	case Oblivious:
-		return oblivious.Run3D(g, s, steps, obliviousConfig(3, opt), e.pool)
+		return oblivious.Run(v, s, steps, obliviousConfig(v.D, opt), e.pool)
 	case MWD:
-		return mwd.Run3D(g, s, steps, mwdConfig(s, opt), e.pool)
+		if v.D > 1 {
+			return diamond.RunMWD(v, s, steps, diamondConfig(s, opt), e.pool)
+		}
 	case Overlapped:
-		return fmt.Errorf("tessellate: scheme %v is not available in 3D", opt.Scheme)
+		if g, ok := g.(*Grid2D); ok {
+			return overlap.Run2D(g, s, steps, overlapConfig(s, opt), e.pool)
+		}
 	case D35:
-		return d35.Run3D(g, s, steps, d35Config(s, opt), e.pool)
+		if g, ok := g.(*Grid3D); ok {
+			return d35.Run3D(g, s, steps, d35Config(s, opt), e.pool)
+		}
 	default:
 		return fmt.Errorf("tessellate: unknown scheme %v", opt.Scheme)
 	}
+	return fmt.Errorf("tessellate: scheme %v is not available in %dD", opt.Scheme, v.D)
+}
+
+// typed runs g, a *Grid1D, *Grid2D or *Grid3D, through its rank's
+// typed entry: with a schedule, the tessellation executor core.Run*D
+// over the pipeline p; without one, the naive oracle, naive.Run*D for
+// a plain stencil s and naive.RunPipeline*D for p otherwise.
+func (e *Engine) typed(g any, s *Stencil, p *Pipeline, m *Mask, sched *core.Schedule, steps int) error {
+	switch g := g.(type) {
+	case *Grid1D:
+		switch {
+		case sched != nil:
+			return core.Run1D(g, p, sched, e.pool, m, nil)
+		case s != nil:
+			naive.Run1D(g, s, steps, e.pool)
+			return nil
+		}
+		return naive.RunPipeline1D(g, p, steps, e.pool, m)
+	case *Grid2D:
+		switch {
+		case sched != nil:
+			return core.Run2D(g, p, sched, e.pool, m, nil)
+		case s != nil:
+			naive.Run2D(g, s, steps, e.pool)
+			return nil
+		}
+		return naive.RunPipeline2D(g, p, steps, e.pool, m)
+	case *Grid3D:
+		switch {
+		case sched != nil:
+			return core.Run3D(g, p, sched, e.pool, m, nil)
+		case s != nil:
+			naive.Run3D(g, s, steps, e.pool)
+			return nil
+		}
+		return naive.RunPipeline3D(g, p, steps, e.pool, m)
+	}
+	return fmt.Errorf("tessellate: %T is not a grid", g)
 }
 
 // RunND advances an n-dimensional grid with a generic stencil using the
@@ -483,48 +463,37 @@ type Retuner interface {
 // RunAdaptive1D is Run1D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive1D(g *Grid1D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	if err := checkAdaptive(s, 1, steps, opt); err != nil {
-		return err
-	}
-	n := []int{g.N}
-	cfg := tessConfig(n, s.Slopes, 1, opt)
-	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
-		return core.Run1D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
-	})
+	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
 }
 
 // RunAdaptive2D is Run2D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive2D(g *Grid2D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	if err := checkAdaptive(s, 2, steps, opt); err != nil {
-		return err
-	}
-	n := []int{g.NX, g.NY}
-	cfg := tessConfig(n, s.Slopes, 1, opt)
-	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
-		return core.Run2D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
-	})
+	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
 }
 
 // RunAdaptive3D is Run3D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive3D(g *Grid3D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	if err := checkAdaptive(s, 3, steps, opt); err != nil {
+	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
+}
+
+// runAdaptive is RunAdaptive1D, RunAdaptive2D and RunAdaptive3D on g,
+// whose layout is v.
+func (e *Engine) runAdaptive(g any, v grid.View, s *Stencil, steps int, opt Options, rt Retuner) error {
+	if err := checkAdaptive(s, v.D, steps, opt); err != nil {
 		return err
 	}
-	n := []int{g.NX, g.NY, g.NZ}
+	n := v.Extents()
 	cfg := tessConfig(n, s.Slopes, 1, opt)
 	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
-		return core.Run3D(g, stencil.OneStage(s), sc, e.pool, nil, nil)
+		return e.typed(g, nil, stencil.OneStage(s), nil, sc, 0)
 	})
 }
 
 func checkAdaptive(s *Stencil, dims, steps int, opt Options) error {
-	if steps < 0 {
-		return fmt.Errorf("tessellate: negative steps %d", steps)
-	}
-	if s.Dims != dims {
-		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is %dD", s.Name, s.Dims, dims)
+	if err := checkStencilRun(s, dims, steps, opt); err != nil {
+		return err
 	}
 	if opt.Scheme != Tessellation {
 		return fmt.Errorf("tessellate: adaptive runs support only the tessellation scheme, got %v", opt.Scheme)
@@ -639,6 +608,18 @@ func tessConfig(n, slopes []int, stencilStages int, opt Options) core.Config {
 	return cfg
 }
 
+// checkStencilRun validates the arguments every run of a plain stencil
+// s on a grid of rank dims shares.
+func checkStencilRun(s *Stencil, dims, steps int, opt Options) error {
+	if steps < 0 {
+		return fmt.Errorf("tessellate: negative steps %d", steps)
+	}
+	if s.Dims != dims {
+		return fmt.Errorf("tessellate: %s is a %dD kernel, grid is %dD", s.Name, s.Dims, dims)
+	}
+	return checkPeriodic(opt)
+}
+
 // checkPeriodic rejects opt.Periodic under every scheme but the
 // tessellation, whose core executors reject it themselves everywhere
 // but RunND: no baseline implements wrap-around boundaries.
@@ -649,13 +630,13 @@ func checkPeriodic(opt Options) error {
 	return nil
 }
 
-func skewConfig(n []int, s *Stencil, opt Options) skew.Config {
+func skewConfig(s *Stencil, opt Options) skew.Config {
 	bt := opt.TimeTile
 	if bt <= 0 {
 		bt = 8
 	}
-	cfg := skew.Config{BT: bt, BX: make([]int, len(n))}
-	for k := range n {
+	cfg := skew.Config{BT: bt, BX: make([]int, s.Dims)}
+	for k := range cfg.BX {
 		cfg.BX[k] = blockOr(opt.Block, k, 4*bt*s.Slopes[k])
 	}
 	return cfg
@@ -667,14 +648,6 @@ func diamondConfig(s *Stencil, opt Options) diamond.Config {
 		bt = 8
 	}
 	return diamond.Config{BT: bt, BX: blockOr(opt.Block, 0, 4*bt*s.Slopes[0])}
-}
-
-func mwdConfig(s *Stencil, opt Options) mwd.Config {
-	bt := opt.TimeTile
-	if bt <= 0 {
-		bt = 8
-	}
-	return mwd.Config{BT: bt, BX: blockOr(opt.Block, 0, 4*bt*s.Slopes[0])}
 }
 
 func overlapConfig(s *Stencil, opt Options) overlap.Config {
