@@ -210,7 +210,7 @@ func runSmoke(cfg server.Config) error {
 	ref := grid.NewGrid2D(n, n, 1, 1)
 	server.SeedGrid2D(ref, "heat-2d", seed, server.DefaultBoundary("heat-2d"))
 	pool := par.NewPool(1)
-	naive.Run2D(ref, stencil.Heat2D, steps, pool)
+	naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, pool, nil)
 	pool.Close()
 	want := server.Checksum2D(ref)
 	if res.Checksum != want {

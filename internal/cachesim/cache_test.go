@@ -113,7 +113,7 @@ func TestCompulsoryTrafficNaive1D(t *testing.T) {
 	ts := NewTracingSpec(stencil.Heat1D, c, g.Buf[0], g.Buf[1])
 	pool := par.NewPool(1)
 	defer pool.Close()
-	naive.Run1D(g, ts, 4, pool)
+	naive.Run(g.View(), stencil.OneStage(ts), 4, pool, nil)
 	c.FlushWritebacks()
 	// Working set: two buffers of 514 words = 65 lines each at most.
 	maxLines := int64(2 * (514/8 + 2))
@@ -138,12 +138,12 @@ func TestTimeTilingReducesTraffic(t *testing.T) {
 	defer pool.Close()
 
 	gn, cn := mk()
-	naive.Run1D(gn, NewTracingSpec(stencil.Heat1D, cn, gn.Buf[0], gn.Buf[1]), steps, pool)
+	naive.Run(gn.View(), stencil.OneStage(NewTracingSpec(stencil.Heat1D, cn, gn.Buf[0], gn.Buf[1])), steps, pool, nil)
 	cn.FlushWritebacks()
 
 	gt, ct := mk()
 	cfg := core.Config{N: []int{n}, Slopes: []int{1}, BT: steps, Big: []int{64 * steps}, Merge: true}
-	if err := core.Run1D(gt, stencil.OneStage(NewTracingSpec(stencil.Heat1D, ct, gt.Buf[0], gt.Buf[1])), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+	if err := core.Run(gt.View(), stencil.OneStage(NewTracingSpec(stencil.Heat1D, ct, gt.Buf[0], gt.Buf[1])), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ct.FlushWritebacks()

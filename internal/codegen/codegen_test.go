@@ -46,7 +46,7 @@ func TestCompiledSpecMatchesNDReference(t *testing.T) {
 			for x := 0; x < n; x++ {
 				nd.Set([]int{x}, gr.At(x))
 			}
-			naive.Run1D(gr, spec, steps, pool)
+			naive.Run(gr.View(), stencil.OneStage(spec), steps, pool, nil)
 			naive.RunND(nd, g, steps, false)
 			for x := 0; x < n; x++ {
 				if gr.At(x) != nd.At([]int{x}) {
@@ -63,7 +63,7 @@ func TestCompiledSpecMatchesNDReference(t *testing.T) {
 					nd.Set([]int{x, y}, gr.At(x, y))
 				}
 			}
-			naive.Run2D(gr, spec, steps, pool)
+			naive.Run(gr.View(), stencil.OneStage(spec), steps, pool, nil)
 			naive.RunND(nd, g, steps, false)
 			for x := 0; x < nx; x++ {
 				for y := 0; y < ny; y++ {
@@ -84,7 +84,7 @@ func TestCompiledSpecMatchesNDReference(t *testing.T) {
 					}
 				}
 			}
-			naive.Run3D(gr, spec, steps, pool)
+			naive.Run(gr.View(), stencil.OneStage(spec), steps, pool, nil)
 			naive.RunND(nd, g, steps, false)
 			for x := 0; x < nx; x++ {
 				for y := 0; y < ny; y++ {
@@ -116,10 +116,10 @@ func TestCompiledSpecUnderTessellation(t *testing.T) {
 
 	// Tessellation with slope-2 tiles vs naive, bitwise.
 	cfg := core.Config{N: []int{40, 44}, Slopes: spec.Slopes, BT: 2, Big: []int{12, 16}, Merge: true}
-	if err := core.Run2D(gr, stencil.OneStage(spec), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
+	if err := core.Run(gr.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 7), pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	naive.Run2D(ref, spec, 7, nil)
+	naive.Run(ref.View(), stencil.OneStage(spec), 7, nil, nil)
 	if r := verify.Grids2D(gr, ref); !r.Equal {
 		t.Fatal(r.Error("compiled-under-tessellation"))
 	}
@@ -147,11 +147,11 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			b := a.Clone()
 			cfg := core.Config{N: []int{36, 40}, Slopes: spec.Slopes, BT: sl, Big: []int{12 * sl, 12 * sl}, Merge: true}
 			core.SetKernelPath("block")
-			if err := core.Run2D(a, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
+			if err := core.Run(a.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			core.SetKernelPath("row")
-			if err := core.Run2D(b, stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil); err != nil {
+			if err := core.Run(b.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 5), pool, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids2D(a, b); !r.Equal {
@@ -163,11 +163,11 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			b := a.Clone()
 			cfg := core.Config{N: []int{18, 20, 22}, Slopes: spec.Slopes, BT: 1, Big: []int{8, 8, 8}, Merge: true}
 			core.SetKernelPath("block")
-			if err := core.Run3D(a, stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil); err != nil {
+			if err := core.Run(a.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			core.SetKernelPath("row")
-			if err := core.Run3D(b, stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil); err != nil {
+			if err := core.Run(b.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 4), pool, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids3D(a, b); !r.Equal {

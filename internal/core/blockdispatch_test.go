@@ -24,11 +24,11 @@ func TestBlockDispatchBitwise1D(t *testing.T) {
 		fill1D(a, 41)
 		b := a.Clone()
 		SetKernelPath("block")
-		if err := Run1D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
+		if err := Run(a.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		SetKernelPath("row")
-		if err := Run1D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
+		if err := Run(b.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 13), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids1D(a, b); !r.Equal {
@@ -59,11 +59,11 @@ func TestBlockDispatchBitwise2D(t *testing.T) {
 		}
 		b := a.Clone()
 		SetKernelPath("block")
-		if err := Run2D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil); err != nil {
+		if err := Run(a.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		SetKernelPath("row")
-		if err := Run2D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil); err != nil {
+		if err := Run(b.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 11), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids2D(a, b); !r.Equal {
@@ -88,11 +88,11 @@ func TestBlockDispatchBitwise3D(t *testing.T) {
 		fill3D(a, 43)
 		b := a.Clone()
 		SetKernelPath("block")
-		if err := Run3D(a, stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
+		if err := Run(a.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		SetKernelPath("row")
-		if err := Run3D(b, stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil); err != nil {
+		if err := Run(b.View(), stencil.OneStage(s), mustSchedule(t, &cfg, 7), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids3D(a, b); !r.Equal {
@@ -123,7 +123,7 @@ func TestSIMDDispatchMatchesRow3D(t *testing.T) {
 		if err := SetKernelPath(run.path); err != nil {
 			t.Fatal(err)
 		}
-		if err := Run3D(run.g, stencil.OneStage(stencil.Heat3D), mustSchedule(t, &cfg, 13), pool, nil, nil); err != nil {
+		if err := Run(run.g.View(), stencil.OneStage(stencil.Heat3D), mustSchedule(t, &cfg, 13), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestSIMDDispatchMatchesRow2D(t *testing.T) {
 		if err := SetKernelPath(run.path); err != nil {
 			t.Fatal(err)
 		}
-		if err := Run2D(run.g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 19), pool, nil, nil); err != nil {
+		if err := Run(run.g.View(), stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 19), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func TestCoarsenedRunBitwiseIdenticalAndExactPoints(t *testing.T) {
 			Coarsen: Coarsening{PerStage: per}}
 		pool := par.NewPool(3)
 		defer pool.Close()
-		if err := Run2D(g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+		if err := Run(g.View(), stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return g

@@ -49,7 +49,7 @@ type Config struct {
 	// the schedule holds exactly one lattice period of blocks per
 	// dimension, their boxes are not clipped to the domain, and every
 	// coordinate wraps mod N. Only RunND executes periodic schedules;
-	// Run1D/2D/3D and RunSlab reject them.
+	// Run rejects them.
 	Periodic bool
 }
 

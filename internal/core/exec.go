@@ -15,8 +15,9 @@ import (
 // stop check, dispatch grouping, each visit's clipped box, mask
 // classification, telemetry and the Step advance — and hands each
 // non-empty block visit to an executor body. The bodies are the fused
-// pipeline (Run1D/2D/3D: a plain Spec run is the one-stage pipeline
-// stencil.OneStage) and the formula-driven generic stencil (RunND).
+// pipeline (Run, for grids of rank 1 to 3: a plain Spec run is the
+// one-stage pipeline stencil.OneStage) and the formula-driven generic
+// stencil (RunND).
 
 // ErrStopped is returned by the executors when their cooperative stop
 // flag is observed set at a region boundary. The grid is left mid-run
@@ -32,107 +33,36 @@ func stopped(stop *atomic.Bool) bool {
 	return stop != nil && stop.Load()
 }
 
-// Run1D advances a 1D grid by sched.Steps() logical time steps of the
-// pipeline p, fusing all stages into each block visit of the schedule.
-// A single stencil runs as stencil.OneStage(s). The grid halo and the
-// schedule's slopes must match p's compound slope. A non-nil mask m
-// restricts every stage to its active points (nil means the full
-// domain); once a non-nil stop is set, the run aborts with ErrStopped
-// at the next region boundary.
-func Run1D(g *grid.Grid1D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	if err := checkRun(p, sched, m, []int{g.N}, []int{g.H}, nil); err != nil {
+// Run advances the grid v views by sched.Steps() logical time steps of
+// the pipeline p, fusing all stages into each block visit of the
+// schedule. A single stencil runs as stencil.OneStage(s). The grid halo
+// and the schedule's slopes must match p's compound slope. A non-nil
+// mask m, of the schedule's domain, restricts every stage to its active
+// points (nil means the full domain); once a non-nil stop is set, the
+// run aborts with ErrStopped at the next region boundary.
+//
+// A nil plan visits every block of the schedule, so v must span the
+// domain. A view of only the dimension-0 planes [v.X0, v.X0+N[0]) of
+// the domain (with its halos), the slab of a distributed rank, needs a
+// plan: one list of passes per region, naming only blocks that write
+// inside the view and read inside it and its halo. The schedule stays
+// global; the view's origin places every box in its buffers.
+func Run(v grid.View, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool, plan [][]Pass) error {
+	if err := checkRun(v, p, sched, m, plan); err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf, nil, []int{1}, []int{g.H})
-	k := &box1D{kern: make([]stencil.Kernel1DBlock, len(p.Stages)), h: g.H}
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			k.kern[i], b.kpath[i] = st.Spec.Resolve1D(b.path)
-		}
-	}
-	b.dim = k
-	// A 1D strip is a strip1D-point chunk of the row at index h, so its
-	// kernel reads stay at or above index 0.
-	return b.run(pool, g.H+strip1D, &g.Step, stop)
-}
-
-// Run2D is Run1D for 2D grids.
-func Run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	return run2D(g, p, sched, pool, m, stop, nil)
-}
-
-// Run3D is Run1D for 3D grids.
-func Run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool) error {
-	return run3D(g, p, sched, pool, m, stop, nil)
-}
-
-// RunSlab runs p over sched on g, a *grid.Grid2D or *grid.Grid3D that
-// holds only the dimension-0 planes [x0, x0+NX) of the schedule's
-// domain (with its halos): the slab of a distributed rank. The schedule
-// stays global — the box bodies shift every box by x0 planes — and the
-// walker follows plan, whose passes must name only blocks that write
-// inside the slab and read inside it and its halo. There is no mask or
-// stop flag.
-func RunSlab(g any, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, x0 int, plan [][]Pass) error {
-	sl := &slab{x0: x0, plan: plan}
-	switch g := g.(type) {
-	case *grid.Grid2D:
-		return run2D(g, p, sched, pool, nil, nil, sl)
-	case *grid.Grid3D:
-		return run3D(g, p, sched, pool, nil, nil, sl)
-	}
-	return fmt.Errorf("core: RunSlab needs a *grid.Grid2D or *grid.Grid3D, not %T", g)
-}
-
-// slab places a run's grid inside a larger domain: the grid holds the
-// dimension-0 planes [x0, x0+NX) and the walker follows plan.
-type slab struct {
-	x0   int
-	plan [][]Pass
-}
-
-// run2D is Run2D, or with a non-nil sl RunSlab, on a 2D grid.
-func run2D(g *grid.Grid2D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool, sl *slab) error {
-	if err := checkRun(p, sched, m, []int{g.NX, g.NY}, []int{g.HX, g.HY}, sl); err != nil {
+	b, err := newPipeBody(v, p, sched, m, plan)
+	if err != nil {
 		return err
 	}
-	b := newPipeBody(p, sched, m, g.Buf, sl, []int{g.SY, 1}, []int{g.HX, g.HY})
-	k := &box2D{kern: make([]stencil.Kernel2DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0)}
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			k.kern[i], b.kpath[i] = st.Spec.Resolve2D(b.path)
-		}
-	}
-	b.dim = k
-	// A 2D strip is two rows in the grid's layout starting at index
-	// reach, so kernel reads (at most HX rows and HY cells back) stay
-	// at or above index 0.
-	return b.run(pool, k.reach+g.SY+g.NY, &g.Step, stop)
+	return b.run(pool, stop)
 }
 
-// run3D is run2D for 3D grids.
-func run3D(g *grid.Grid3D, p *stencil.Pipeline, sched *Schedule, pool *par.Pool, m *grid.Mask, stop *atomic.Bool, sl *slab) error {
-	if err := checkRun(p, sched, m, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}, sl); err != nil {
-		return err
-	}
-	b := newPipeBody(p, sched, m, g.Buf, sl, []int{g.SX, g.SY, 1}, []int{g.HX, g.HY, g.HZ})
-	k := &box3D{kern: make([]stencil.Kernel3DBlock, len(p.Stages)), g: g, reach: g.Idx(0, 0, 0)}
-	for i, st := range p.Stages {
-		if st.Spec != nil {
-			k.kern[i], b.kpath[i] = st.Spec.Resolve3D(b.path)
-		}
-	}
-	b.dim = k
-	// A 3D strip is two pencils of one plane in the grid's layout
-	// starting at index reach, so kernel reads (at most HX planes, HY
-	// pencils and HZ cells back) stay at or above index 0.
-	return b.run(pool, k.reach+g.SY+g.NZ, &g.Step, stop)
-}
-
-// RunScheduled2D runs the stencil s over sched on the full domain:
-// Run2D with the one-stage pipeline, no mask and no stop flag.
+// RunScheduled2D runs the stencil s over sched on g's full domain: Run
+// with the one-stage pipeline, no mask, no stop flag and no plan. It
+// stays because perfbench's scaling probe calls it.
 func RunScheduled2D(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	return Run2D(g, stencil.OneStage(s), sched, pool, nil, nil)
+	return Run(g.View(), stencil.OneStage(s), sched, pool, nil, nil, nil)
 }
 
 // RunND advances an n-dimensional grid by sched.Steps() time steps of
@@ -140,7 +70,7 @@ func RunScheduled2D(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.
 // any dimension (paper §3 in full generality): slower than the
 // specialised ones, but walking the identical geometry. It is also the
 // one executor of periodic schedules (Config.Periodic), whose grids
-// need no halo. stop behaves as in Run1D.
+// need no halo. stop behaves as in Run.
 func RunND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
 	if gs.Dims != g.D() {
 		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
@@ -255,10 +185,8 @@ func nextPoint(p, lo, hi []int) bool {
 	return false
 }
 
-// checkRun validates the arguments of a pipeline run against a grid of
-// interior extents n and halo widths halo, placed in the domain by a
-// non-nil sl.
-func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int, sl *slab) error {
+// checkRun validates the arguments of Run.
+func checkRun(v grid.View, p *stencil.Pipeline, sched *Schedule, m *grid.Mask, plan [][]Pass) error {
 	if p == nil {
 		return fmt.Errorf("core: nil pipeline")
 	}
@@ -268,46 +196,31 @@ func checkRun(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, n, halo []int,
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if p.Dims() != len(n) {
-		return fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), len(n))
+	if p.Dims() != v.D {
+		return fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), v.D)
 	}
 	slopes := p.Slopes()
-	for k := range n {
-		if halo[k] < slopes[k] {
-			return fmt.Errorf("core: grid halo %v < compound slopes %v", halo, slopes)
+	for k, s := range slopes {
+		if v.H[k] < s {
+			return fmt.Errorf("core: grid halo %v < compound slopes %v", v.H[:v.D], slopes)
 		}
 	}
-	if sl != nil && sched != nil {
-		if sl.x0 < 0 || sl.x0+n[0] > sched.cfg.N[0] {
-			return fmt.Errorf("core: slab planes [%d, %d) outside the domain %v", sl.x0, sl.x0+n[0], sched.cfg.N)
+	n := v.Extents()
+	if sched != nil && (v.X0 != 0 || plan != nil) {
+		if v.X0 < 0 || v.X0+n[0] > sched.cfg.N[0] {
+			return fmt.Errorf("core: view planes [%d, %d) outside the domain %v", v.X0, v.X0+n[0], sched.cfg.N)
 		}
-		if len(sl.plan) != len(sched.regions) {
-			return fmt.Errorf("core: plan of %d regions for a %d-region schedule", len(sl.plan), len(sched.regions))
+		if len(plan) != len(sched.regions) {
+			return fmt.Errorf("core: plan of %d regions for a %d-region schedule", len(plan), len(sched.regions))
 		}
-		n = append([]int{sched.cfg.N[0]}, n[1:]...)
+		n[0] = sched.cfg.N[0]
 	}
 	if err := checkSchedule(sched, n, slopes); err != nil {
 		return err
 	}
-	return checkMask(m, n)
-}
-
-// checkMask validates that a non-nil m matches the grid extents n and
-// finalizes it (idempotent) so the parallel region bodies only ever
-// read it. A nil mask means the full domain.
-func checkMask(m *grid.Mask, n []int) error {
-	if m == nil {
-		return nil
+	if err := m.Fit(n); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if len(m.Dims) != len(n) {
-		return fmt.Errorf("core: mask rank %d != grid rank %d", len(m.Dims), len(n))
-	}
-	for k := range n {
-		if m.Dims[k] != n[k] {
-			return fmt.Errorf("core: mask extents %v != grid extents %v", m.Dims, n)
-		}
-	}
-	m.Finalize()
 	return nil
 }
 

@@ -44,10 +44,10 @@ func TestRun1DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid1D(97, slope)
 				fill1D(g, 1)
 				ref := g.Clone()
-				if err := Run1D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+				if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
-				naive.Run1D(ref, s, steps, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 				if r := verify.Grids1D(g, ref); !r.Equal {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, r.Error("tessellation-1d"))
 				}
@@ -75,10 +75,10 @@ func TestRun2DMatchesNaive(t *testing.T) {
 					fill2D(g, 2)
 				}
 				ref := g.Clone()
-				if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+				if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
-				naive.Run2D(ref, s, steps, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 				if r := verify.Grids2D(g, ref); !r.Equal {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, r.Error("tessellation-2d"))
 				}
@@ -100,10 +100,10 @@ func TestRun3DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid3D(18, 15, 20, 1, 1, 1)
 				fill3D(g, 3)
 				ref := g.Clone()
-				if err := Run3D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+				if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, err)
 				}
-				naive.Run3D(ref, s, steps, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 				if r := verify.Grids3D(g, ref); !r.Equal {
 					t.Fatalf("%s merge=%v steps=%d: %v", s.Name, merge, steps, r.Error("tessellation-3d"))
 				}
@@ -176,10 +176,10 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 			g := grid.NewGrid1D(cfg.N[0], 1)
 			fill1D(g, int64(it))
 			ref := g.Clone()
-			if err := Run1D(g, stencil.OneStage(stencil.Heat1D), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+			if err := Run(g.View(), stencil.OneStage(stencil.Heat1D), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 				t.Fatalf("iter %d: %v", it, err)
 			}
-			naive.Run1D(ref, stencil.Heat1D, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(stencil.Heat1D), steps, nil, nil)
 			if r := verify.Grids1D(g, ref); !r.Equal {
 				t.Fatalf("iter %d cfg=%+v steps=%d: %v", it, cfg, steps, r.Error("fuzz-1d"))
 			}
@@ -190,10 +190,10 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 			g := grid.NewGrid2D(cfg.N[0], cfg.N[1], 1, 1)
 			fill2D(g, int64(it))
 			ref := g.Clone()
-			if err := Run2D(g, stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+			if err := Run(g.View(), stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 				t.Fatalf("iter %d: %v", it, err)
 			}
-			naive.Run2D(ref, stencil.Box2D9, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(stencil.Box2D9), steps, nil, nil)
 			if r := verify.Grids2D(g, ref); !r.Equal {
 				t.Fatalf("iter %d cfg=%+v steps=%d: %v", it, cfg, steps, r.Error("fuzz-2d"))
 			}
@@ -201,7 +201,7 @@ func TestRunFuzzAgainstNaive(t *testing.T) {
 	}
 }
 
-// rejectCase is one argument set Run1D must reject, leaving Step at 0.
+// rejectCase is one argument set Run must reject, leaving Step at 0.
 type rejectCase struct {
 	name string
 	n, h int // grid extent and halo
@@ -220,7 +220,7 @@ func expectRejected(t *testing.T, cases []rejectCase) {
 			sched = mustSchedule(t, c.cfg, 4)
 		}
 		g := grid.NewGrid1D(c.n, c.h)
-		if err := Run1D(g, c.p, sched, pool, c.m, nil); err == nil {
+		if err := Run(g.View(), c.p, sched, pool, c.m, nil, nil); err == nil {
 			t.Errorf("%s should fail", c.name)
 		}
 		if g.Step != 0 {
@@ -297,10 +297,11 @@ func mustSchedule(t testing.TB, cfg *Config, steps int) *Schedule {
 	return sched
 }
 
-// RunSlab with a plan naming every block, on the whole domain, is
-// Run3D; a failing pass callback stops the run with its error, and a
-// slab outside the domain, a plan of the wrong length or a grid of
-// another kind is rejected.
+// Run with a plan naming every block, on the whole domain, is Run
+// without one; a failing pass callback stops the run with its error,
+// and a view reaching past the domain, a plan of the wrong length, a
+// view of part of the domain without a plan or a grid of another rank
+// is rejected.
 func TestRunSlabPlan(t *testing.T) {
 	cfg := &Config{N: []int{24, 10, 13}, Slopes: []int{1, 1, 1}, BT: 2, Big: []int{6, 6, 8}, Merge: true}
 	sched, err := NewSchedule(cfg, 5)
@@ -313,7 +314,7 @@ func TestRunSlabPlan(t *testing.T) {
 	g := grid.NewGrid3D(24, 10, 13, 1, 1, 1)
 	fill3D(g, 7)
 	ref := g.Clone()
-	if err := Run3D(ref, p, sched, pool, nil, nil); err != nil {
+	if err := Run(ref.View(), p, sched, pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	plan := make([][]Pass, len(sched.Regions()))
@@ -325,7 +326,7 @@ func TestRunSlabPlan(t *testing.T) {
 		}
 		plan[ri] = []Pass{{Before: func() error { calls++; return nil }, Blocks: all}}
 	}
-	if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
+	if err := Run(g.View(), p, sched, pool, nil, nil, plan); err != nil {
 		t.Fatal(err)
 	}
 	if r := verify.Grids3D(g, ref); !r.Equal {
@@ -337,22 +338,29 @@ func TestRunSlabPlan(t *testing.T) {
 
 	boom := errors.New("boom")
 	plan[0][0].Before = func() error { return boom }
-	if err := RunSlab(g, p, sched, pool, 0, plan); err != boom {
+	if err := Run(g.View(), p, sched, pool, nil, nil, plan); err != boom {
 		t.Fatalf("callback error not returned: %v", err)
 	}
-	if err := RunSlab(g, p, sched, pool, 1, plan); err == nil {
+	past := g.View()
+	past.X0 = 1
+	if err := Run(past, p, sched, pool, nil, nil, plan); err == nil {
 		t.Error("slab past the domain's end accepted")
 	}
-	if err := RunSlab(g, p, sched, pool, 0, plan[1:]); err == nil {
+	if err := Run(g.View(), p, sched, pool, nil, nil, plan[1:]); err == nil {
 		t.Error("short plan accepted")
 	}
-	if err := RunSlab(grid.NewGrid1D(24, 1), p, sched, pool, 0, plan); err == nil {
+	part := grid.NewGrid3D(20, 10, 13, 1, 1, 1).View()
+	part.X0 = 2
+	if err := Run(part, p, sched, pool, nil, nil, nil); err == nil {
+		t.Error("slab without a plan accepted")
+	}
+	if err := Run(grid.NewGrid1D(24, 1).View(), p, sched, pool, nil, nil, plan); err == nil {
 		t.Error("1D grid accepted")
 	}
 }
 
 // TestRunSlabTileLocalPipeline runs rk2, whose intermediate slot is
-// tile-local, through RunSlab on a slab that starts x0 rows into the
+// tile-local, through Run on a view whose origin is x0 rows into the
 // domain, one step, over the blocks whose boxes lie in the slab: its
 // rows must equal those of the whole grid run over the same blocks.
 // One step reads only the initial state, which the slab's halo holds.
@@ -376,36 +384,27 @@ func TestRunSlabTileLocalPipeline(t *testing.T) {
 			}
 			plan[ri] = []Pass{{Blocks: blocks}}
 		}
-		var got, want []float64
+		var v, s grid.View
 		if len(n) == 2 {
 			g := grid.NewGrid2D(n[0], n[1], sl[0], sl[1])
 			fill2D(g, 3)
-			s := grid.NewGrid2D(n[0]-x0, n[1], sl[0], sl[1])
-			for b := range s.Buf {
-				copy(s.Buf[b], g.Buf[b][x0*g.SY:])
-			}
-			if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
-				t.Fatal(err)
-			}
-			if err := RunSlab(s, p, sched, pool, x0, plan); err != nil {
-				t.Fatal(err)
-			}
-			got, want = s.Buf[1], g.Buf[1][x0*g.SY:]
+			v, s = g.View(), grid.NewGrid2D(n[0]-x0, n[1], sl[0], sl[1]).View()
 		} else {
 			g := grid.NewGrid3D(n[0], n[1], n[2], sl[0], sl[1], sl[2])
 			fill3D(g, 3)
-			s := grid.NewGrid3D(n[0]-x0, n[1], n[2], sl[0], sl[1], sl[2])
-			for b := range s.Buf {
-				copy(s.Buf[b], g.Buf[b][x0*g.SX:])
-			}
-			if err := RunSlab(g, p, sched, pool, 0, plan); err != nil {
-				t.Fatal(err)
-			}
-			if err := RunSlab(s, p, sched, pool, x0, plan); err != nil {
-				t.Fatal(err)
-			}
-			got, want = s.Buf[1], g.Buf[1][x0*g.SX:]
+			v, s = g.View(), grid.NewGrid3D(n[0]-x0, n[1], n[2], sl[0], sl[1], sl[2]).View()
 		}
+		s.X0 = x0
+		for b := range s.Buf {
+			copy(s.Buf[b], v.Buf[b][x0*v.S[0]:])
+		}
+		if err := Run(v, p, sched, pool, nil, nil, plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run(s, p, sched, pool, nil, nil, plan); err != nil {
+			t.Fatal(err)
+		}
+		got, want := s.Buf[1], v.Buf[1][x0*v.S[0]:]
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%v: slab cell %d = %v, whole grid %v", n, i, got[i], want[i])

@@ -41,10 +41,10 @@ func TestL1TileHeat2DMatchesNaive(t *testing.T) {
 					g := grid.NewGrid2D(n[0], n[1], 1, 1)
 					fill2D(g, int64(n[0]*n[1]))
 					ref := unpadded(g)
-					if err := Run2D(g, p, sched, pool, m, nil); err != nil {
+					if err := Run(g.View(), p, sched, pool, m, nil, nil); err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
+					if err := naive.Run(ref.View(), p, steps, nil, m); err != nil {
 						t.Fatal(err)
 					}
 					if r := verify.Grids2D(g, ref); !r.Equal {

@@ -26,10 +26,10 @@ func TestRunMasked1DMatchesNaive(t *testing.T) {
 			fill1D(g, 21)
 			ref := g.Clone()
 			steps := 13
-			if err := Run1D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+			if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 				t.Fatalf("%s/%s: %v", s.Name, name, err)
 			}
-			if err := naive.RunMasked1D(ref, s, steps, nil, m); err != nil {
+			if err := naive.Run(ref.View(), stencil.OneStage(s), steps, nil, m); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids1D(g, ref); !r.Equal {
@@ -57,10 +57,10 @@ func TestRunMasked2DMatchesNaive(t *testing.T) {
 				fill2D(g, 22)
 				ref := g.Clone()
 				steps := 8
-				if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+				if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 					t.Fatalf("%s/%s merge=%v: %v", s.Name, name, merge, err)
 				}
-				if err := naive.RunMasked2D(ref, s, steps, nil, m); err != nil {
+				if err := naive.Run(ref.View(), stencil.OneStage(s), steps, nil, m); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids2D(g, ref); !r.Equal {
@@ -99,13 +99,13 @@ func TestRunMaskedConcurrentFinalize(t *testing.T) {
 				defer wg.Done()
 				pool := par.NewPool(2)
 				defer pool.Close()
-				errs[k] = Run2D(grids[k], stencil.OneStage(s), sched, pool, m, nil)
+				errs[k] = Run(grids[k].View(), stencil.OneStage(s), sched, pool, m, nil, nil)
 			}(k)
 		}
 		wg.Wait()
 		ref := grid.NewGrid2D(nx, ny, 1, 1)
 		fill2D(ref, int64(30+trial))
-		if err := naive.RunMasked2D(ref, s, steps, nil, m); err != nil {
+		if err := naive.Run(ref.View(), stencil.OneStage(s), steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		for k, g := range grids {
@@ -132,10 +132,10 @@ func TestRunMasked3DMatchesNaive(t *testing.T) {
 		fill3D(g, 23)
 		ref := g.Clone()
 		steps := 6
-		if err := Run3D(g, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+		if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		if err := naive.RunMasked3D(ref, s, steps, nil, m); err != nil {
+		if err := naive.Run(ref.View(), stencil.OneStage(s), steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids3D(g, ref); !r.Equal {
@@ -163,10 +163,10 @@ func TestRunMaskedPathsMatchNaive(t *testing.T) {
 		g := grid.NewGrid2D(37, 41, 1, 1)
 		fill2D(g, 24)
 		ref := g.Clone()
-		if err := Run2D(g, stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 9), pool, m, nil); err != nil {
+		if err := Run(g.View(), stencil.OneStage(stencil.Heat2D), mustSchedule(t, &cfg, 9), pool, m, nil, nil); err != nil {
 			t.Fatalf("path %s: %v", path, err)
 		}
-		if err := naive.RunMasked2D(ref, stencil.Heat2D, 9, nil, m); err != nil {
+		if err := naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), 9, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids2D(g, ref); !r.Equal {
@@ -203,10 +203,10 @@ func TestRunMaskedBoundaryAdjacent(t *testing.T) {
 	fill2D(g, 25)
 	ref := g.Clone()
 	steps := 9
-	if err := Run2D(g, stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+	if err := Run(g.View(), stencil.OneStage(stencil.Box2D9), mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := naive.RunMasked2D(ref, stencil.Box2D9, steps, nil, m); err != nil {
+	if err := naive.Run(ref.View(), stencil.OneStage(stencil.Box2D9), steps, nil, m); err != nil {
 		t.Fatal(err)
 	}
 	if r := verify.Grids2D(g, ref); !r.Equal {

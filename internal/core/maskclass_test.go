@@ -156,24 +156,24 @@ func runClassCase(t *testing.T, what string, p *stencil.Pipeline, sched *Schedul
 		g := grid.NewGrid1D(n[0], sl[0])
 		fill1D(g, 5)
 		ref := g.Clone()
-		if err = counted(Run1D(g, p, sched, pool, m, nil)); err == nil {
-			err = naive.RunPipeline1D(ref, p, steps, nil, m)
+		if err = counted(Run(g.View(), p, sched, pool, m, nil, nil)); err == nil {
+			err = naive.Run(ref.View(), p, steps, nil, m)
 		}
 		r = verify.Grids1D(g, ref)
 	case 2:
 		g := grid.NewGrid2D(n[0], n[1], sl[0], sl[1])
 		fill2D(g, 5)
 		ref := g.Clone()
-		if err = counted(Run2D(g, p, sched, pool, m, nil)); err == nil {
-			err = naive.RunPipeline2D(ref, p, steps, nil, m)
+		if err = counted(Run(g.View(), p, sched, pool, m, nil, nil)); err == nil {
+			err = naive.Run(ref.View(), p, steps, nil, m)
 		}
 		r = verify.Grids2D(g, ref)
 	default:
 		g := grid.NewGrid3D(n[0], n[1], n[2], sl[0], sl[1], sl[2])
 		fill3D(g, 5)
 		ref := g.Clone()
-		if err = counted(Run3D(g, p, sched, pool, m, nil)); err == nil {
-			err = naive.RunPipeline3D(ref, p, steps, nil, m)
+		if err = counted(Run(g.View(), p, sched, pool, m, nil, nil)); err == nil {
+			err = naive.Run(ref.View(), p, steps, nil, m)
 		}
 		r = verify.Grids3D(g, ref)
 	}

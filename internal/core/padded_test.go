@@ -78,10 +78,10 @@ func TestRun2DPaddedRowsMatchNaive(t *testing.T) {
 				}
 				fill2D(g, 21)
 				ref := unpadded(g)
-				if err := Run2D(g, c.p, mustSchedule(t, &cfg, steps), pool, c.m, nil); err != nil {
+				if err := Run(g.View(), c.p, mustSchedule(t, &cfg, steps), pool, c.m, nil, nil); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if err := naive.RunPipeline2D(ref, c.p, steps, nil, c.m); err != nil {
+				if err := naive.Run(ref.View(), c.p, steps, nil, c.m); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids2D(g, ref); !r.Equal {

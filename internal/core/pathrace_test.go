@@ -151,7 +151,7 @@ func TestSIMDPathDegradesToBlock(t *testing.T) {
 	defer pool.Close()
 	g := grid.NewGrid2D(n, n, 1, 1)
 	g.Fill(func(x, y int) float64 { return float64(x ^ y) })
-	if err := Run2D(g, stencil.OneStage(spec), mustSchedule(t, &cfg, 2), pool, nil, nil); err != nil {
+	if err := Run(g.View(), stencil.OneStage(spec), mustSchedule(t, &cfg, 2), pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if blockC.Load() == 0 {

@@ -194,8 +194,8 @@ func TestRunNDPeriodicExactPointCount(t *testing.T) {
 	}
 }
 
-// Only RunND executes periodic schedules: the pipeline executors and
-// RunSlab reject them before touching the grid.
+// Only RunND executes periodic schedules: Run rejects them, with or
+// without a plan, before touching the grid.
 func TestPipelineRunsRejectPeriodic(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
@@ -211,13 +211,13 @@ func TestPipelineRunsRejectPeriodic(t *testing.T) {
 	g3 := grid.NewGrid3D(24, 24, 24, 1, 1, 1)
 	s2 := sched(24, 24)
 	for name, run := range map[string]func() error{
-		"Run1D": func() error { return Run1D(g1, stencil.OneStage(stencil.Heat1D), sched(24), pool, nil, nil) },
-		"Run2D": func() error { return Run2D(g2, stencil.OneStage(stencil.Heat2D), s2, pool, nil, nil) },
+		"Run1D": func() error { return Run(g1.View(), stencil.OneStage(stencil.Heat1D), sched(24), pool, nil, nil, nil) },
+		"Run2D": func() error { return Run(g2.View(), stencil.OneStage(stencil.Heat2D), s2, pool, nil, nil, nil) },
 		"Run3D": func() error {
-			return Run3D(g3, stencil.OneStage(stencil.Heat3D), sched(24, 24, 24), pool, nil, nil)
+			return Run(g3.View(), stencil.OneStage(stencil.Heat3D), sched(24, 24, 24), pool, nil, nil, nil)
 		},
-		"RunSlab": func() error {
-			return RunSlab(g2, stencil.OneStage(stencil.Heat2D), s2, pool, 0, make([][]Pass, len(s2.Regions())))
+		"plan": func() error {
+			return Run(g2.View(), stencil.OneStage(stencil.Heat2D), s2, pool, nil, nil, make([][]Pass, len(s2.Regions())))
 		},
 	} {
 		if err := run(); err == nil || !strings.Contains(err.Error(), "periodic") {

@@ -10,7 +10,7 @@ import (
 	"tessellate/internal/verify"
 )
 
-// Consecutive Run2D calls on the same grid must compose exactly: the
+// Consecutive Run calls on the same grid must compose exactly: the
 // second call has to honour the buffer parity the first one left
 // behind (a grid at an odd Step holds its current values in Buf[1]).
 // This is the substrate the phased runner and adaptive re-tiling
@@ -26,12 +26,12 @@ func TestRunChainedSegmentsMatchNaive(t *testing.T) {
 		ref := g.Clone()
 		total := 0
 		for _, seg := range split {
-			if err := Run2D(g, stencil.OneStage(s), mustSchedule(t, &cfg, seg), pool, nil, nil); err != nil {
+			if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, &cfg, seg), pool, nil, nil, nil); err != nil {
 				t.Fatalf("split %v: %v", split, err)
 			}
 			total += seg
 		}
-		naive.Run2D(ref, s, total, nil)
+		naive.Run(ref.View(), stencil.OneStage(s), total, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("split %v: %v", split, r.Error("chained-2d"))
 		}
@@ -66,14 +66,14 @@ func TestRunPhasedRetilesExactly(t *testing.T) {
 			return &alt
 		}
 		if err := RunPhased(steps, &cfg, every, hook, func(sc *Schedule) error {
-			return Run2D(g, stencil.OneStage(s), sc, pool, nil, nil)
+			return Run(g.View(), stencil.OneStage(s), sc, pool, nil, nil, nil)
 		}); err != nil {
 			t.Fatalf("every=%d: %v", every, err)
 		}
 		if calls == 0 {
 			t.Fatalf("every=%d: hook never consulted", every)
 		}
-		naive.Run2D(ref, s, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("every=%d: %v", every, r.Error("phased-2d"))
 		}
@@ -101,11 +101,11 @@ func TestRunPhased1DAnd3D(t *testing.T) {
 		return &Config{N: []int{97}, Slopes: s1.Slopes, BT: 2, Big: []int{12}, Merge: true}
 	}
 	if err := RunPhased(19, &cfg1, 1, hook1, func(sc *Schedule) error {
-		return Run1D(g1, stencil.OneStage(s1), sc, pool, nil, nil)
+		return Run(g1.View(), stencil.OneStage(s1), sc, pool, nil, nil, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	naive.Run1D(ref1, s1, 19, nil)
+	naive.Run(ref1.View(), stencil.OneStage(s1), 19, nil, nil)
 	if r := verify.Grids1D(g1, ref1); !r.Equal {
 		t.Fatal(r.Error("phased-1d"))
 	}
@@ -116,11 +116,11 @@ func TestRunPhased1DAnd3D(t *testing.T) {
 	ref3 := g3.Clone()
 	cfg3 := Config{N: []int{21, 23, 25}, Slopes: s3.Slopes, BT: 2, Big: []int{8, 8, 10}, Merge: true}
 	if err := RunPhased(11, &cfg3, 2, func(int, *Config) *Config { return nil }, func(sc *Schedule) error {
-		return Run3D(g3, stencil.OneStage(s3), sc, pool, nil, nil)
+		return Run(g3.View(), stencil.OneStage(s3), sc, pool, nil, nil, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	naive.Run3D(ref3, s3, 11, nil)
+	naive.Run(ref3.View(), stencil.OneStage(s3), 11, nil, nil)
 	if r := verify.Grids3D(g3, ref3); !r.Equal {
 		t.Fatal(r.Error("phased-3d"))
 	}
@@ -138,7 +138,7 @@ func TestRunPhasedRejectsInvalidHookConfig(t *testing.T) {
 	fill2D(g, 13)
 	bad := Config{N: []int{37, 41}, Slopes: s.Slopes, BT: 8, Big: []int{4, 4}, Merge: true} // Big < 2*BT*slope
 	err := RunPhased(23, &cfg, 1, func(int, *Config) *Config { return &bad }, func(sc *Schedule) error {
-		return Run2D(g, stencil.OneStage(s), sc, pool, nil, nil)
+		return Run(g.View(), stencil.OneStage(s), sc, pool, nil, nil, nil)
 	})
 	if err == nil {
 		t.Fatal("invalid hook config accepted")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -42,8 +43,9 @@ import (
 // holds only the rows (2D), planes (3D) or cells (1D) of dimension 0
 // that one visit can touch: Big[0] + 2*grow + 2*H of them, grow the
 // largest growth along dimension 0 and H the grid's halo there. Each
-// visit rebases it by a dimension-0 index shift (rebase), the way
-// RunSlab shifts a slab's boxes, so one slot serves every tile. Its
+// visit rebases it by a dimension-0 index shift (rebase), the way a
+// view's origin X0 shifts a slab's boxes, so one slot serves every
+// tile. Its
 // halo cells along the other dimensions sit at fixed places and are
 // never written, so they keep the TmpHalo they are allocated with; the
 // cells a later stage reads but this visit never writes are reset to
@@ -93,33 +95,27 @@ func fusedPairs(p *stencil.Pipeline) []bool {
 }
 
 // pipeBody is the walker body of a pipeline run: the stage loop of one
-// block visit, shared by every dimension. The dimension-specific part
-// — applying one stage (or fused pair) to a box — is dim.
+// block visit and the box body applying one stage to a box, for grids
+// of any rank up to 3.
 type pipeBody struct {
 	p       *stencil.Pipeline
 	sched   *Schedule
 	grow    [][]int // per-stage growth (SuffixSlopes); nil where zero
 	fused   []bool
-	outSlot []bool         // stage i (or its fused pair) writes a materialized slot
-	path    stencil.Path   // the run's dispatch ceiling, sampled once
-	kpath   []stencil.Path // each stencil stage's resolved path
+	outSlot []bool              // stage i (or its fused pair) writes a materialized slot
+	path    stencil.Path        // the run's dispatch ceiling, sampled once
+	kern    []stencil.BoxKernel // each stencil stage's resolved kernel
+	kpath   []stencil.Path      // and the tier it resolved to
 	m       *grid.Mask
-	buf     [2][]float64 // the state grid's parity buffers
-	dim     boxer
-	slab    // the grid's place in the domain; zero for the whole domain
+	plan    [][]Pass // the walker's passes; nil for every block
 
 	// The grid's layout: point p of the domain lives at flat index
-	// sum_k (p[k]+halo[k])*stride[k], dimension 0 shifted by x0.
-	stride, halo []int
-	tile         bool // slots are tile-local (see rebase)
-	reach0       int  // the largest growth along dimension 0
-}
-
-// boxer applies stage i of b's pipeline — with stage i+1 when
-// b.fused[i] — to the box [lo, hi) on the buffers sb, using l's strip
-// and dimension-0 shift and tallying kernel calls in l.
-type boxer interface {
-	box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane)
+	// sum_k (p[k]+H[k])*S[k] of its buffers, dimension 0 shifted by the
+	// view's origin X0.
+	v      grid.View
+	tile   bool // slots are tile-local (see rebase)
+	reach0 int  // the largest growth along dimension 0
+	reach  int  // strip index of interior point 0 (see box)
 }
 
 // stageBufs are the buffers stage i (a fused pair: the stencil's input
@@ -134,11 +130,10 @@ type stageBufs struct {
 }
 
 // newPipeBody prepares a validated pipeline for one run over sched on
-// a grid of the given layout, placed in the domain by sl (nil: the
-// whole domain). One path per run: it is sampled here, never re-read,
-// so a concurrent SetKernelPath cannot mix dispatch shapes within a
-// run.
-func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]float64, sl *slab, stride, halo []int) *pipeBody {
+// the grid v views. One path per run: it is sampled here, never
+// re-read, so a concurrent SetKernelPath cannot mix dispatch shapes
+// within a run.
+func newPipeBody(v grid.View, p *stencil.Pipeline, sched *Schedule, m *grid.Mask, plan [][]Pass) (*pipeBody, error) {
 	grow := p.SuffixSlopes()
 	reach0 := grow[0][0]
 	for i, g := range grow {
@@ -146,10 +141,11 @@ func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]fl
 			grow[i] = nil
 		}
 	}
+	nst := len(p.Stages)
 	b := &pipeBody{
-		p: p, sched: sched, grow: grow, fused: fusedPairs(p), outSlot: make([]bool, len(p.Stages)),
-		path: runPath(), kpath: make([]stencil.Path, len(p.Stages)), m: m, buf: buf,
-		stride: stride, halo: halo, reach0: reach0,
+		p: p, sched: sched, grow: grow, fused: fusedPairs(p), outSlot: make([]bool, nst),
+		path: runPath(), kern: make([]stencil.BoxKernel, nst), kpath: make([]stencil.Path, nst),
+		m: m, plan: plan, v: v, reach0: reach0, reach: v.Index([3]int{v.X0}),
 	}
 	b.tile = true
 	for i, st := range p.Stages {
@@ -157,35 +153,50 @@ func newPipeBody(p *stencil.Pipeline, sched *Schedule, m *grid.Mask, buf [2][]fl
 		if b.fused[i] {
 			last = i + 1
 		}
-		b.outSlot[i] = last < len(p.Stages)-1 && !b.fused[last]
+		b.outSlot[i] = last < nst-1 && !b.fused[last]
 		b.tile = b.tile && (st.Spec == nil || stencil.Rebasable(st.Spec))
+		if st.Spec != nil {
+			var err error
+			if b.kern[i], b.kpath[i], err = st.Spec.ResolveBox(v.D, b.path); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+		}
 	}
 	// Without a materialized slot there is nothing to rebase.
 	b.tile = b.tile && slices.Contains(b.outSlot, true)
-	if sl != nil {
-		b.slab = *sl
-	}
-	return b
+	return b, nil
 }
 
 // slotLen returns the length of one materialized slot: the grid's for
 // a positional pipeline, else the Big[0] + 2*reach0 + 2*halo[0] rows
 // of dimension 0 a visit may touch (no more than the grid holds).
 func (b *pipeBody) slotLen() int {
-	n := len(b.buf[0])
+	n := len(b.v.Buf[0])
 	if !b.tile {
 		return n
 	}
-	rows := b.sched.cfg.Big[0] + 2*b.reach0 + 2*b.halo[0]
-	return min(rows*b.stride[0], n)
+	rows := b.sched.cfg.Big[0] + 2*b.reach0 + 2*b.v.H[0]
+	return min(rows*b.v.S[0], n)
+}
+
+// stripLen returns the length of a fused pair's strip: a strip1D-point
+// chunk of the row in 1D, two rows of the unit-stride dimension else,
+// in the grid's layout from index reach, so kernel reads (at most the
+// halo back along each dimension) stay at or above index 0.
+func (b *pipeBody) stripLen() int {
+	z := b.v.D - 1
+	if z == 0 {
+		return b.reach + strip1D
+	}
+	return b.reach + b.v.S[z-1] + b.v.N[z]
 }
 
 // run walks the schedule with one lane per worker, carrying the
 // scratch newScratch sizes and every stage's buffers resolved for both
 // parities, so visits resolve none.
-func (b *pipeBody) run(pool *par.Pool, stripLen int, step *int, stop *atomic.Bool) error {
-	lanes := newLanes(pool.Workers(), len(b.sched.cfg.N))
-	newScratch(lanes, b.p, b.fused, b.slotLen(), stripLen)
+func (b *pipeBody) run(pool *par.Pool, stop *atomic.Bool) error {
+	lanes := newLanes(pool.Workers(), b.v.D)
+	newScratch(lanes, b.p, b.fused, b.slotLen(), b.stripLen())
 	nst, sets := len(b.p.Stages), 2 // a set per parity, and the visit's if tile
 	if b.tile {
 		sets = 3
@@ -193,12 +204,12 @@ func (b *pipeBody) run(pool *par.Pool, stripLen int, step *int, stop *atomic.Boo
 	all := make([]stageBufs, sets*nst*len(lanes))
 	for w := range lanes {
 		l := &lanes[w]
-		l.x0 = b.x0
+		l.x0 = b.v.X0
 		if b.tile {
 			l.vbufs, all = all[:nst:nst], all[nst:]
 		}
 		for par := range l.bufs {
-			src, dst := b.buf[par], b.buf[par^1]
+			src, dst := b.v.Buf[par], b.v.Buf[par^1]
 			l.bufs[par], all = all[:nst:nst], all[nst:]
 			for i := range b.p.Stages {
 				st, bl, last := &b.p.Stages[i], &b.p.Stages[i], i
@@ -222,7 +233,7 @@ func (b *pipeBody) run(pool *par.Pool, stripLen int, step *int, stop *atomic.Boo
 	if b.m != nil {
 		grow = b.grow[0]
 	}
-	return walk(b.sched, step, pool, lanes, b.m, grow, stop, b.plan, b)
+	return walk(b.sched, b.v.Step, pool, lanes, b.m, grow, stop, b.plan, b)
 }
 
 // newScratch gives each lane a TmpHalo-filled slot of slotLen cells
@@ -282,7 +293,7 @@ func (b *pipeBody) visit(l *lane, par, n int) {
 			b.resetRows(l, bufs[i].out, g)
 		}
 		if full {
-			b.dim.box(b, i, lo, hi, &bufs[i], l)
+			b.box(i, lo, hi, &bufs[i], l)
 		} else {
 			b.segments(i, lo, hi, &bufs[i], l)
 		}
@@ -292,15 +303,15 @@ func (b *pipeBody) visit(l *lane, par, n int) {
 // rebase places the visit's tile-local slots: it sets l's dimension-0
 // shift x0 so that domain row x lives at row x-x0 of every buffer (at
 // x-x0+H counting the halo H), and returns the visit's buffers, the
-// state ones sliced by x0-b.x0 rows. The visit reads the state at most
+// state ones sliced by x0-X0 rows, X0 the view's origin. The visit reads the state at most
 // H rows below its box and writes or reads a slot at most reach0, so
 // x0 = lo[0]-reach0, or the grid's first row if that is higher, keeps
 // every index non-negative; the slot's Big[0]+2*reach0+2*H rows then
 // reach past the box's top row plus reach0+H.
 func (b *pipeBody) rebase(l *lane, bufs []stageBufs) []stageBufs {
-	r0 := max(0, l.lo[0]-b.x0-b.reach0)
-	l.x0 = b.x0 + r0
-	sh := r0 * b.stride[0]
+	r0 := max(0, l.lo[0]-b.v.X0-b.reach0)
+	l.x0 = b.v.X0 + r0
+	sh := r0 * b.v.S[0]
 	for i := range bufs {
 		v := bufs[i]
 		if v.state&1 != 0 {
@@ -361,9 +372,9 @@ func (b *pipeBody) fillBox(l *lane, buf []float64, lo, hi []int) {
 
 // index returns the flat index of domain point p in l's visit frame.
 func (b *pipeBody) index(l *lane, p []int) int {
-	i := -l.x0 * b.stride[0]
+	i := -l.x0 * b.v.S[0]
 	for k, v := range p {
-		i += (v + b.halo[k]) * b.stride[k]
+		i += (v + b.v.H[k]) * b.v.S[k]
 	}
 	return i
 }
@@ -407,7 +418,7 @@ func (b *pipeBody) segments(i int, lo, hi []int, sb *stageBufs, l *lane) {
 				b.fillGap(l, sb.out, q0, a, rows)
 			}
 			if q0[z] < hi[z] {
-				b.dim.box(b, i, q0, q1, sb, l)
+				b.box(i, q0, q1, sb, l)
 			}
 		}
 		if y >= 0 {
@@ -430,7 +441,7 @@ func (b *pipeBody) fillGap(l *lane, buf []float64, q0 []int, a, rows int) {
 	q0[z] = e
 	step := 0
 	if z > 0 {
-		step = b.stride[z-1]
+		step = b.v.S[z-1]
 	}
 	for r := 0; r < rows; r++ {
 		fill(buf[i:i+e-a], b.p.TmpHalo)
@@ -491,100 +502,64 @@ func (c *callTally) add(p stencil.Path, rows int64) {
 	}
 }
 
-// box1D applies 1D stages; kernel indices are offset by the halo h
-// and shifted by the visit's x0.
-type box1D struct {
-	kern []stencil.Kernel1DBlock
-	h    int
-}
-
-func (k *box1D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
-	st, h := &b.p.Stages[i], k.h
-	switch {
-	case b.fused[i]:
-		for c := lo[0] - l.x0; c < hi[0]-l.x0; c += strip1D {
-			n := min(strip1D, hi[0]-l.x0-c)
-			k.kern[i](l.strip, sb.in[c:], h, h+n)
-			blendStrip(&b.p.Stages[i+1], sb, l.strip, c, h, 1, n, 0)
-			l.calls.add(b.kpath[i], 1)
-		}
-	case st.Spec != nil:
-		k.kern[i](sb.out, sb.in, lo[0]-l.x0+h, hi[0]-l.x0+h)
-		l.calls.add(b.kpath[i], 1)
-	default:
-		stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, lo[0]-l.x0+h, hi[0]-l.x0+h)
+// box applies stage i — with stage i+1 when b.fused[i] — to the box
+// [lo, hi) on the buffers sb, in l's dimension-0 frame, tallying kernel
+// calls in l. A stencil stage is one whole-box kernel call and a blend
+// one BlendRow per unit-stride row. A fused pair runs strip by strip:
+// the stencil writes a strip — a strip1D-point chunk of the row in 1D,
+// a row pair in 2D, a pencil pair within one plane in 3D, which keeps
+// the kernels' cross-row register reuse; an odd box ends with a
+// one-row strip — into l.strip, and the blend consumes it at once.
+func (b *pipeBody) box(i int, lo, hi []int, sb *stageBufs, l *lane) {
+	st, S, z := &b.p.Stages[i], b.v.S, b.v.D-1
+	base := b.index(l, lo)
+	n := [3]int{1, 1, 1}
+	for k := range lo {
+		n[k] = hi[k] - lo[k]
 	}
-}
-
-// box2D applies 2D stages. Boxes are in domain coordinates; the
-// visit's buffers hold the dimension-0 rows from l.x0 on.
-type box2D struct {
-	kern  []stencil.Kernel2DBlock
-	g     *grid.Grid2D
-	reach int // strip index of interior point (0, 0)
-}
-
-func (k *box2D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
-	st, g := &b.p.Stages[i], k.g
-	base := g.Idx(lo[0]-l.x0, lo[1])
-	nx, ny := hi[0]-lo[0], hi[1]-lo[1]
-	switch {
-	case b.fused[i]:
-		// Row pairs keep the kernels' cross-row register reuse; an odd
-		// box ends with a one-row strip.
-		for x := 0; x < nx; x += 2 {
-			rows := min(2, nx-x)
-			off := base + x*g.SY - k.reach
-			k.kern[i](l.strip, sb.in[off:], k.reach, rows, ny, g.SY)
-			blendStrip(&b.p.Stages[i+1], sb, l.strip, off, k.reach, rows, ny, g.SY)
-			l.calls.add(b.kpath[i], int64(rows))
-		}
-	case st.Spec != nil:
-		k.kern[i](sb.out, sb.in, base, nx, ny, g.SY)
-		l.calls.add(b.kpath[i], int64(nx))
-	default:
-		for x := 0; x < nx; x++ {
-			stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, base, base+ny)
-			base += g.SY
-		}
+	// A plane's rows step along dimension y: the box's rows in 2D, each
+	// dimension-0 plane's in 3D; a 1D box is one row.
+	y, planes, rows := 0, 1, 1
+	switch z {
+	case 1:
+		rows = n[0]
+	case 2:
+		y, planes, rows = 1, n[0], n[1]
 	}
-}
-
-// box3D is box2D for 3D stages.
-type box3D struct {
-	kern  []stencil.Kernel3DBlock
-	g     *grid.Grid3D
-	reach int // strip index of interior point (0, 0, 0)
-}
-
-func (k *box3D) box(b *pipeBody, i int, lo, hi []int, sb *stageBufs, l *lane) {
-	st, g := &b.p.Stages[i], k.g
-	xBase := g.Idx(lo[0]-l.x0, lo[1], lo[2])
-	nx, ny, nz := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-	switch {
+	switch k := b.kern[i]; {
 	case b.fused[i]:
-		// Pencil pairs within one plane keep the kernels' cross-pencil
-		// reuse; an odd plane ends with a one-pencil strip.
-		for x := 0; x < nx; x++ {
-			for y := 0; y < ny; y += 2 {
-				rows := min(2, ny-y)
-				off := xBase + x*g.SX + y*g.SY - k.reach
-				k.kern[i](l.strip, sb.in[off:], k.reach, 1, rows, nz, g.SY, g.SX)
-				blendStrip(&b.p.Stages[i+1], sb, l.strip, off, k.reach, rows, nz, g.SY)
-				l.calls.add(b.kpath[i], int64(rows))
+		// A strip spans up to w cells of dimension y: two rows in 2D
+		// and 3D, strip1D cells of the row in 1D.
+		w := 2
+		if z == 0 {
+			w = strip1D
+		}
+		bl, sn := &b.p.Stages[i+1], n
+		sn[0] = 1
+		for x := 0; x < planes; x++ {
+			off := base + x*S[0] - b.reach
+			for c := 0; c < n[y]; c += w {
+				sn[y] = min(w, n[y]-c)
+				r := sn[y] // the strip's rows
+				if z == 0 {
+					r = 1
+				}
+				k(l.strip, sb.in[off:], b.reach, sn, S)
+				blendStrip(bl, sb, l.strip, off, b.reach, r, sn[z], S[y])
+				l.calls.add(b.kpath[i], int64(r))
+				off += w * S[y]
 			}
 		}
-	case st.Spec != nil:
-		k.kern[i](sb.out, sb.in, xBase, nx, ny, nz, g.SY, g.SX)
-		l.calls.add(b.kpath[i], int64(nx)*int64(ny))
+	case k != nil:
+		k(sb.out, sb.in, base, n, S)
+		l.calls.add(b.kpath[i], int64(planes*rows))
 	default:
-		for x := 0; x < nx; x++ {
-			base := xBase
-			for y := 0; y < ny; y++ {
-				stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, base, base+nz)
-				base += g.SY
+		for x := 0; x < planes; x++ {
+			off := base + x*S[0]
+			for r := 0; r < rows; r++ {
+				stencil.BlendRow(sb.out, sb.ia, st.A, sb.ib, st.B, off, off+n[z])
+				off += S[y]
 			}
-			xBase += g.SX
 		}
 	}
 }

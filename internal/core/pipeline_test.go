@@ -77,25 +77,29 @@ func TestRunPipeline1DMatchesNaive(t *testing.T) {
 		{Spec: stencil.Heat1D, In: 1},
 		{A: 0.75, In: 2, B: 0.25, InB: 0},
 	}, TmpHalo: 0.3}
+	// Blocks of 600 cells and more split a fused pair into strip1D
+	// chunks.
 	for _, p := range []*stencil.Pipeline{rk2ish(stencil.Heat1D), leapfrogish(stencil.Heat1D), mixed} {
 		slope := p.Slopes()[0]
-		for _, merge := range []bool{false, true} {
-			for _, steps := range []int{1, 7, 13} {
-				cfg := Config{N: []int{89}, Slopes: p.Slopes(), BT: 3, Big: []int{8 * slope}, Merge: merge}
-				g := grid.NewGrid1D(89, slope)
-				fill1D(g, 11)
-				ref := g.Clone()
-				if err := Run1D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
-					t.Fatalf("%s merge=%v steps=%d: %v", p.Name, merge, steps, err)
-				}
-				if err := naive.RunPipeline1D(ref, p, steps, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-				if r := verify.Grids1D(g, ref); !r.Equal {
-					t.Fatalf("%s merge=%v steps=%d: %v", p.Name, merge, steps, r.Error("pipeline-1d"))
-				}
-				if g.Step != steps {
-					t.Fatalf("Step = %d, want %d", g.Step, steps)
+		for _, nb := range [][2]int{{89, 8}, {1499, 600}} {
+			for _, merge := range []bool{false, true} {
+				for _, steps := range []int{1, 7, 13} {
+					cfg := Config{N: []int{nb[0]}, Slopes: p.Slopes(), BT: 3, Big: []int{nb[1] * slope}, Merge: merge}
+					g := grid.NewGrid1D(nb[0], slope)
+					fill1D(g, 11)
+					ref := g.Clone()
+					if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
+						t.Fatalf("%s n=%d merge=%v steps=%d: %v", p.Name, nb[0], merge, steps, err)
+					}
+					if err := naive.Run(ref.View(), p, steps, nil, nil); err != nil {
+						t.Fatal(err)
+					}
+					if r := verify.Grids1D(g, ref); !r.Equal {
+						t.Fatalf("%s n=%d merge=%v steps=%d: %v", p.Name, nb[0], merge, steps, r.Error("pipeline-1d"))
+					}
+					if g.Step != steps {
+						t.Fatalf("Step = %d, want %d", g.Step, steps)
+					}
 				}
 			}
 		}
@@ -114,10 +118,10 @@ func TestRunPipeline2DMatchesNaive(t *testing.T) {
 				g := grid.NewGrid2D(33, 38, sl[0], sl[1])
 				fill2D(g, 12)
 				ref := g.Clone()
-				if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+				if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 					t.Fatalf("%s merge=%v steps=%d: %v", p.Name, merge, steps, err)
 				}
-				if err := naive.RunPipeline2D(ref, p, steps, nil, nil); err != nil {
+				if err := naive.Run(ref.View(), p, steps, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids2D(g, ref); !r.Equal {
@@ -140,10 +144,10 @@ func TestRunPipeline3DMatchesNaive(t *testing.T) {
 			fill3D(g, 13)
 			ref := g.Clone()
 			steps := 5
-			if err := Run3D(g, p, mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+			if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 				t.Fatalf("%s merge=%v: %v", p.Name, merge, err)
 			}
-			if err := naive.RunPipeline3D(ref, p, steps, nil, nil); err != nil {
+			if err := naive.Run(ref.View(), p, steps, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids3D(g, ref); !r.Equal {
@@ -171,10 +175,10 @@ func TestRunPipelinePathsMatchNaive(t *testing.T) {
 		g := grid.NewGrid2D(30, 34, sl[0], sl[1])
 		fill2D(g, 14)
 		ref := g.Clone()
-		if err := Run2D(g, p, mustSchedule(t, &cfg, 9), pool, nil, nil); err != nil {
+		if err := Run(g.View(), p, mustSchedule(t, &cfg, 9), pool, nil, nil, nil); err != nil {
 			t.Fatalf("path %s: %v", path, err)
 		}
-		if err := naive.RunPipeline2D(ref, p, 9, nil, nil); err != nil {
+		if err := naive.Run(ref.View(), p, 9, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids2D(g, ref); !r.Equal {
@@ -199,10 +203,10 @@ func TestRunPipelineMaskedMatchesNaive(t *testing.T) {
 			fill2D(g, 15)
 			ref := g.Clone()
 			steps := 7
-			if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+			if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, name, err)
 			}
-			if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
+			if err := naive.Run(ref.View(), p, steps, nil, m); err != nil {
 				t.Fatal(err)
 			}
 			if r := verify.Grids2D(g, ref); !r.Equal {
@@ -304,18 +308,20 @@ func TestPipelineFusionPlan(t *testing.T) {
 	g3 := grid.NewGrid3D(40, 12, 14, 2, 2, 2)
 	cfg3 := Config{N: []int{40, 12, 14}, Slopes: []int{2, 2, 2}, BT: 1, Big: []int{8, 8, 8}, Merge: true}
 	for _, c := range []struct {
-		p            *stencil.Pipeline
-		cfg          *Config
-		buf          [2][]float64
-		stride, halo []int
-		want         int
+		p    *stencil.Pipeline
+		cfg  *Config
+		v    grid.View
+		want int
 	}{
-		{rk2ish(h), &cfg2, g2.Buf, []int{g2.SY, 1}, []int{2, 2}, (32 + 2 + 4) * g2.SY},
-		{rk2ish(positional2D(kappa)), &cfg2, g2.Buf, []int{g2.SY, 1}, []int{2, 2}, len(g2.Buf[0])},
-		{rk2ish(stencil.Heat3D), &cfg3, g3.Buf, []int{g3.SX, g3.SY, 1}, []int{2, 2, 2}, (8 + 2 + 4) * g3.SX},
-		{rk2ish(positional3D(kappa)), &cfg3, g3.Buf, []int{g3.SX, g3.SY, 1}, []int{2, 2, 2}, len(g3.Buf[0])},
+		{rk2ish(h), &cfg2, g2.View(), (32 + 2 + 4) * g2.SY},
+		{rk2ish(positional2D(kappa)), &cfg2, g2.View(), len(g2.Buf[0])},
+		{rk2ish(stencil.Heat3D), &cfg3, g3.View(), (8 + 2 + 4) * g3.SX},
+		{rk2ish(positional3D(kappa)), &cfg3, g3.View(), len(g3.Buf[0])},
 	} {
-		b := newPipeBody(c.p, mustSchedule(t, c.cfg, 4), nil, c.buf, nil, c.stride, c.halo)
+		b, err := newPipeBody(c.v, c.p, mustSchedule(t, c.cfg, 4), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := b.slotLen(); got != c.want {
 			t.Fatalf("%s on %v: slot of %d cells, want %d", c.p.Name, c.cfg.N, got, c.want)
 		}
@@ -389,10 +395,10 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill1D(g, 21)
 				ref := g.Clone()
 				cfg := Config{N: []int{97}, Slopes: p.Slopes(), BT: 3, Big: []int{8 * p.Slopes()[0]}, Merge: true}
-				if err := Run1D(g, p, mustSchedule(t, &cfg, 9), pool, m, nil); err != nil {
+				if err := Run(g.View(), p, mustSchedule(t, &cfg, 9), pool, m, nil, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
-				if err := naive.RunPipeline1D(ref, p, 9, nil, m); err != nil {
+				if err := naive.Run(ref.View(), p, 9, nil, m); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids1D(g, ref); !r.Equal {
@@ -415,10 +421,10 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill2D(g, 22)
 				ref := g.Clone()
 				cfg := Config{N: []int{29, 34}, Slopes: sl, BT: 2, Big: []int{8 * sl[0], 10 * sl[1]}, Merge: true}
-				if err := Run2D(g, p, mustSchedule(t, &cfg, 7), pool, m, nil); err != nil {
+				if err := Run(g.View(), p, mustSchedule(t, &cfg, 7), pool, m, nil, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
-				if err := naive.RunPipeline2D(ref, p, 7, nil, m); err != nil {
+				if err := naive.Run(ref.View(), p, 7, nil, m); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids2D(g, ref); !r.Equal {
@@ -440,10 +446,10 @@ func TestRunPipelinePositionalKernelsMatchNaive(t *testing.T) {
 				fill3D(g, 23)
 				ref := g.Clone()
 				cfg := Config{N: []int{11, 12, 13}, Slopes: sl, BT: 1, Big: []int{4 * sl[0], 4 * sl[1], 5 * sl[2]}, Merge: true}
-				if err := Run3D(g, p, mustSchedule(t, &cfg, 5), pool, m, nil); err != nil {
+				if err := Run(g.View(), p, mustSchedule(t, &cfg, 5), pool, m, nil, nil); err != nil {
 					t.Fatalf("%s/%s: %v", path, p.Name, err)
 				}
-				if err := naive.RunPipeline3D(ref, p, 5, nil, m); err != nil {
+				if err := naive.Run(ref.View(), p, 5, nil, m); err != nil {
 					t.Fatal(err)
 				}
 				if r := verify.Grids3D(g, ref); !r.Equal {
@@ -648,10 +654,10 @@ func FuzzPipelineGeometry(f *testing.F) {
 		g := grid.NewGrid1D(cfg.N[0], sl[0])
 		fill1D(g, seed)
 		ref := g.Clone()
-		if err := Run1D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+		if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
-		if err := naive.RunPipeline1D(ref, p, steps, nil, m); err != nil {
+		if err := naive.Run(ref.View(), p, steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids1D(g, ref); !r.Equal {
@@ -697,10 +703,10 @@ func FuzzPipelineGeometry2D(f *testing.F) {
 		g := grid.NewGrid2D(cfg.N[0], cfg.N[1], sl[0], sl[1])
 		fill2D(g, seed)
 		ref := g.Clone()
-		if err := Run2D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+		if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
-		if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
+		if err := naive.Run(ref.View(), p, steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids2D(g, ref); !r.Equal {
@@ -734,10 +740,10 @@ func FuzzPipelineGeometry3D(f *testing.F) {
 		g := grid.NewGrid3D(cfg.N[0], cfg.N[1], cfg.N[2], sl[0], sl[1], sl[2])
 		fill3D(g, seed)
 		ref := g.Clone()
-		if err := Run3D(g, p, mustSchedule(t, &cfg, steps), pool, m, nil); err != nil {
+		if err := Run(g.View(), p, mustSchedule(t, &cfg, steps), pool, m, nil, nil); err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)
 		}
-		if err := naive.RunPipeline3D(ref, p, steps, nil, m); err != nil {
+		if err := naive.Run(ref.View(), p, steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
 		if r := verify.Grids3D(g, ref); !r.Equal {

@@ -22,7 +22,7 @@ import (
 // Schedule is a precomputed, immutable tessellation schedule: a
 // validated Config plus the region list Regions(steps) would produce.
 // Build one with NewSchedule (or fetch a shared one from a
-// ScheduleCache) and execute it with Run1D/2D/3D or RunND. A
+// ScheduleCache) and execute it with Run or RunND. A
 // Schedule is safe for concurrent use by multiple executors.
 type Schedule struct {
 	cfg     Config

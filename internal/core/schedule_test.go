@@ -18,7 +18,7 @@ func seedGrid2D(g *grid.Grid2D, seed int64) {
 }
 
 // RunScheduled2D replaying a cached schedule must be bitwise identical
-// to Run2D building the schedule per call, including on chained runs
+// to Run building the schedule per call, including on chained runs
 // where the grid's Step parity is odd at the second call.
 func TestRunScheduledMatchesRun(t *testing.T) {
 	s := stencil.Heat2D
@@ -33,10 +33,10 @@ func TestRunScheduledMatchesRun(t *testing.T) {
 
 	ref := grid.NewGrid2D(n[0], n[1], 1, 1)
 	seedGrid2D(ref, 42)
-	if err := Run2D(ref, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+	if err := Run(ref.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run2D(ref, stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil); err != nil {
+	if err := Run(ref.View(), stencil.OneStage(s), mustSchedule(t, &cfg, steps), pool, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

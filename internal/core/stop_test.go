@@ -34,7 +34,7 @@ func stopCases(t *testing.T, pool *par.Pool) []stopCase {
 		cfg := DefaultConfig(n, s)
 		g := grid.NewGrid1D(n[0], s[0])
 		fill1D(g, 7)
-		err := Run1D(g, p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop)
+		err := Run(g.View(), p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop, nil)
 		return g.Buf[g.Step&1], g.Step, err
 	}
 	run2 := func(p *stencil.Pipeline, masked bool, stop *atomic.Bool) ([]float64, int, error) {
@@ -42,7 +42,7 @@ func stopCases(t *testing.T, pool *par.Pool) []stopCase {
 		cfg := DefaultConfig(n, s)
 		g := grid.NewGrid2D(n[0], n[1], s[0], s[1])
 		fill2D(g, 7)
-		err := Run2D(g, p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop)
+		err := Run(g.View(), p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop, nil)
 		return g.Buf[g.Step&1], g.Step, err
 	}
 	run3 := func(p *stencil.Pipeline, masked bool, stop *atomic.Bool) ([]float64, int, error) {
@@ -50,7 +50,7 @@ func stopCases(t *testing.T, pool *par.Pool) []stopCase {
 		cfg := DefaultConfig(n, s)
 		g := grid.NewGrid3D(n[0], n[1], n[2], s[0], s[1], s[2])
 		fill3D(g, 7)
-		err := Run3D(g, p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop)
+		err := Run(g.View(), p, mustSchedule(t, &cfg, stopSteps), pool, mask(masked, n...), stop, nil)
 		return g.Buf[g.Step&1], g.Step, err
 	}
 	dims := []struct {

@@ -45,11 +45,15 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Run3D advances a 3D grid by steps time steps with 3.5D blocking.
-func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+// Run advances the 3D grid v views by steps time steps with 3.5D
+// blocking; a grid of another rank is refused untouched.
+func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	if v.D != 3 {
+		return fmt.Errorf("d35: needs a 3D grid, got %dD", v.D)
+	}
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, err := s.ResolveBox(3, stencil.ActivePath())
+	k, _, err := s.ResolveBox(3, stencil.ActivePath())
 	if err != nil {
 		return fmt.Errorf("d35: %w", err)
 	}
@@ -60,40 +64,41 @@ func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 	if sx != 1 {
 		return fmt.Errorf("d35: x slope %d not supported (pipeline advances one plane per step)", sx)
 	}
-	nty := (g.NY + cfg.TY - 1) / cfg.TY
-	ntz := (g.NZ + cfg.TZ - 1) / cfg.TZ
+	nty := (v.N[1] + cfg.TY - 1) / cfg.TY
+	ntz := (v.N[2] + cfg.TZ - 1) / cfg.TZ
 
 	for t0 := 0; t0 < steps; t0 += cfg.BT {
 		bt := min(cfg.BT, steps-t0)
-		src := g.Buf[g.Step&1]
+		src := v.Src(0)
 		// Always drain into the buffer the pipeline is NOT reading:
 		// with an even bt the time-parity buffer would alias src, and
 		// tiles would read neighbours' already-finalised ghost rows.
-		dst := g.Buf[(g.Step+1)&1]
+		dst := v.Dst(0)
 		pool.For(nty*ntz, func(ti int) {
-			runTile(g, k, src, dst, cfg, bt, sy, sz, (ti/ntz)*cfg.TY, (ti%ntz)*cfg.TZ)
+			runTile(v, k, src, dst, cfg, bt, sy, sz, (ti/ntz)*cfg.TY, (ti%ntz)*cfg.TZ)
 		})
 		if bt%2 == 0 {
 			// Keep the grid's invariant that current values live in
 			// Buf[Step&1].
-			g.Buf[0], g.Buf[1] = g.Buf[1], g.Buf[0]
+			v.Buf[0], v.Buf[1] = v.Buf[1], v.Buf[0]
 		}
-		g.Step += bt
+		*v.Step += bt
 	}
 	return nil
 }
 
 // runTile streams one y-z tile through the x pipeline for bt steps.
-func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config, bt, sy, sz, y0, z0 int) {
-	y1 := min(y0+cfg.TY, g.NY)
-	z1 := min(z0+cfg.TZ, g.NZ)
+func runTile(v grid.View, k stencil.BoxKernel, src, dst []float64, cfg Config, bt, sy, sz, y0, z0 int) {
+	nx, ny, nz := v.N[0], v.N[1], v.N[2]
+	y1 := min(y0+cfg.TY, ny)
+	z1 := min(z0+cfg.TZ, nz)
 	gy, gz := bt*sy, bt*sz // ghost widths
 
 	// Staged plane geometry: ghost-extended tile plus one slope margin,
 	// in global coordinates [ylo, yhi) x [zlo, zhi) clamped to the
 	// grid-plus-halo box so loads never index outside storage.
-	ylo, yhi := max(y0-gy-sy, -g.HY), min(y1+gy+sy, g.NY+g.HY)
-	zlo, zhi := max(z0-gz-sz, -g.HZ), min(z1+gz+sz, g.NZ+g.HZ)
+	ylo, yhi := max(y0-gy-sy, -v.H[1]), min(y1+gy+sy, ny+v.H[1])
+	zlo, zhi := max(z0-gz-sz, -v.H[2]), min(z1+gz+sz, nz+v.H[2])
 	ph := zhi - zlo // plane row (z) extent
 	pw := yhi - ylo // plane y extent
 	ps := pw * ph   // plane size
@@ -104,9 +109,9 @@ func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config
 
 	loadPlane := func(dstAt int, x int) {
 		// Copy grid plane x (clamped to the halo box) into arr[dstAt:].
-		xc := clamp(x, -g.HX, g.NX+g.HX-1)
+		xc := clamp(x, -v.H[0], nx+v.H[0]-1)
 		for y := ylo; y < yhi; y++ {
-			row := g.Idx(xc, y, zlo)
+			row := v.Index([3]int{xc, y, zlo})
 			copy(arr[dstAt+(y-ylo)*ph:dstAt+(y-ylo)*ph+ph], src[row:row+ph])
 		}
 	}
@@ -124,7 +129,7 @@ func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config
 		copy(arr[o:o+2*ps], arr[o+ps:o+3*ps])
 	}
 
-	for step := 0; step < g.NX+bt; step++ {
+	for step := 0; step < nx+bt; step++ {
 		// Level 0: shift and load source plane x = step.
 		shift(0)
 		loadPlane(off(0)+2*ps, step)
@@ -133,7 +138,7 @@ func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config
 			shift(t)
 			p := step - t
 			cur := off(t) + 2*ps
-			if p < 0 || p >= g.NX {
+			if p < 0 || p >= nx {
 				// Outside the domain: the plane is the constant halo.
 				loadPlane(cur, p)
 				continue
@@ -144,9 +149,9 @@ func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config
 			// Valid window shrinks by one slope per level, clipped to
 			// the domain interior.
 			wylo := max(max(y0-gy+t*sy, 0), ylo+sy)
-			wyhi := min(min(y1+gy-t*sy, g.NY), yhi-sy)
+			wyhi := min(min(y1+gy-t*sy, ny), yhi-sy)
 			wzlo := max(max(z0-gz+t*sz, 0), zlo+sz)
-			wzhi := min(min(z1+gz-t*sz, g.NZ), zhi-sz)
+			wzhi := min(min(z1+gz-t*sz, nz), zhi-sz)
 			if wylo >= wyhi || wzlo >= wzhi {
 				continue
 			}
@@ -160,11 +165,11 @@ func runTile(g *grid.Grid3D, k stencil.BoxKernel, src, dst []float64, cfg Config
 
 		// Drain: the plane leaving level bt is final; store its owned
 		// region.
-		if p := step - bt; p >= 0 && p < g.NX {
+		if p := step - bt; p >= 0 && p < nx {
 			o := off(bt) + 2*ps
 			for y := y0; y < y1; y++ {
 				row := o + (y-ylo)*ph + (z0 - zlo)
-				out := g.Idx(p, y, z0)
+				out := v.Index([3]int{p, y, z0})
 				copy(dst[out:out+(z1-z0)], arr[row:row+(z1-z0)])
 			}
 		}

@@ -22,10 +22,10 @@ func TestRun3DMatchesNaive(t *testing.T) {
 			g.Fill(func(x, y, z int) float64 { return rng.Float64() })
 			g.SetBoundary(0.5)
 			ref := g.Clone()
-			if err := Run3D(g, s, steps, cfg, pool); err != nil {
+			if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run3D(ref, s, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 			if r := verify.Grids3D(g, ref); !r.Equal {
 				t.Fatalf("%s steps=%d: %v", s.Name, steps, r.Error("3.5d"))
 			}
@@ -48,10 +48,10 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		g := grid.NewGrid3D(nx, ny, nz, 1, 1, 1)
 		g.Fill(func(x, y, z int) float64 { return rng.Float64() })
 		ref := g.Clone()
-		if err := Run3D(g, stencil.Heat3D, steps, cfg, pool); err != nil {
+		if err := Run(g.View(), stencil.Heat3D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run3D(ref, stencil.Heat3D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat3D), steps, nil, nil)
 		if r := verify.Grids3D(g, ref); !r.Equal {
 			t.Fatalf("iter %d cfg=%+v %dx%dx%d steps=%d: %v", it, cfg, nx, ny, nz, steps, r.Error("fuzz"))
 		}
@@ -62,13 +62,16 @@ func TestConfigValidation(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	g := grid.NewGrid3D(8, 8, 8, 1, 1, 1)
-	if err := Run3D(g, stencil.Heat3D, 2, Config{BT: 0, TY: 4, TZ: 4}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat3D, 2, Config{BT: 0, TY: 4, TZ: 4}, pool); err == nil {
 		t.Error("BT=0 accepted")
 	}
-	if err := Run3D(g, stencil.Heat3D, 2, Config{BT: 2, TY: 0, TZ: 4}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat3D, 2, Config{BT: 2, TY: 0, TZ: 4}, pool); err == nil {
 		t.Error("TY=0 accepted")
 	}
-	if err := Run3D(g, stencil.Heat2D, 2, Config{BT: 2, TY: 4, TZ: 4}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat2D, 2, Config{BT: 2, TY: 4, TZ: 4}, pool); err == nil {
 		t.Error("2D kernel accepted")
+	}
+	if err := Run(grid.NewGrid2D(8, 8, 1, 1).View(), stencil.Heat2D, 2, Config{BT: 2, TY: 4, TZ: 4}, pool); err == nil {
+		t.Error("2D grid accepted")
 	}
 }

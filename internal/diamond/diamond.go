@@ -101,7 +101,7 @@ func (g *geometry) forEachLevel(body func(l, tt int)) {
 func prepare(v grid.View, s *stencil.Spec, steps int, cfg Config) (stencil.BoxKernel, geometry, error) {
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	k, _, err := s.ResolveBox(v.D, stencil.ActivePath())
 	if err != nil {
 		return nil, geometry{}, err
 	}

@@ -32,7 +32,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 			if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run1D(ref, s, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 			if r := verify.Grids1D(g, ref); !r.Equal {
 				t.Fatalf("%s steps=%d: %v", s.Name, steps, r.Error("diamond-1d"))
 			}
@@ -58,7 +58,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 				if err := rn.run(g.View(), s, 10, cfg, pool); err != nil {
 					t.Fatal(err)
 				}
-				naive.Run2D(ref, s, 10, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), 10, nil, nil)
 				if r := verify.Grids2D(g, ref); !r.Equal {
 					t.Fatalf("%s: %v", s.Name, r.Error(rn.name+"-2d"))
 				}
@@ -81,7 +81,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 				if err := rn.run(g.View(), s, 6, cfg, pool); err != nil {
 					t.Fatal(err)
 				}
-				naive.Run3D(ref, s, 6, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), 6, nil, nil)
 				if r := verify.Grids3D(g, ref); !r.Equal {
 					t.Fatalf("%s: %v", s.Name, r.Error(rn.name+"-3d"))
 				}
@@ -110,7 +110,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 			if err := Run(g.View(), stencil.Heat1D, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run1D(ref, stencil.Heat1D, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(stencil.Heat1D), steps, nil, nil)
 			if r := verify.Grids1D(g, ref); !r.Equal {
 				t.Fatalf("iter %d cfg=%+v n=%d steps=%d: %v", it, cfg, n, steps, r.Error("fuzz"))
 			}
@@ -135,7 +135,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 			if err := RunMWD(g.View(), stencil.Box2D9, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run2D(ref, stencil.Box2D9, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(stencil.Box2D9), steps, nil, nil)
 			if r := verify.Grids2D(g, ref); !r.Equal {
 				t.Fatalf("iter %d cfg=%+v %dx%d steps=%d: %v", it, cfg, nx, ny, steps, r.Error("fuzz"))
 			}

@@ -70,7 +70,7 @@ func TestDistributedMatchesSingleRank(t *testing.T) {
 				initial.SetBoundary(0.5)
 
 				ref := initial.Clone()
-				naive.Run2D(ref, spec, 10, nil)
+				naive.Run(ref.View(), stencil.OneStage(spec), 10, nil, nil)
 
 				got := runCluster(t, LocalCluster(nranks), cfg, spec, initial, 10)
 				if r := verify.Grids2D(got, ref); !r.Equal {
@@ -89,7 +89,7 @@ func TestDistributedRaggedSteps(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		initial.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := initial.Clone()
-		naive.Run2D(ref, stencil.Heat2D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 		got := runCluster(t, LocalCluster(3), cfg, stencil.Heat2D, initial, steps)
 		if r := verify.Grids2D(got, ref); !r.Equal {
 			t.Fatalf("steps=%d: %v", steps, r.Error("distributed-ragged"))
@@ -128,7 +128,7 @@ func TestDistributedOverTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	initial.Fill(func(x, y int) float64 { return rng.Float64() })
 	ref := initial.Clone()
-	naive.Run2D(ref, stencil.Heat2D, 9, nil)
+	naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), 9, nil, nil)
 	got := runCluster(t, ts, cfg, stencil.Heat2D, initial, 9)
 	if r := verify.Grids2D(got, ref); !r.Equal {
 		t.Fatal(r.Error("distributed-tcp"))

@@ -85,7 +85,7 @@ func TestDelayedPeerStaysCorrect(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		initial.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := initial.Clone()
-		naive.Run2D(ref, stencil.Heat2D, 6, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), 6, nil, nil)
 
 		got := runClusterMode(t, wrapped, cfg, stencil.Heat2D, initial, 6, overlap)
 		if r := verify.Grids2D(got, ref); !r.Equal {

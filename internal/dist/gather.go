@@ -10,16 +10,16 @@ package dist
 // its planes.
 func (r *Rank) GatherTo(root int, dst any) error {
 	if r.ID != root {
-		w := r.local.wire(r.part.Width())
-		buf := make([]float64, r.part.Width()*r.local.planeLen())
-		copyPlanes(buf, &w, 0, r.local.cur(), &r.local, r.part.X0-r.xbase, r.part.Width(), [2]int{})
+		w := wire(r.local, r.part.Width())
+		buf := make([]float64, r.part.Width()*planeLen(r.local))
+		copyPlanes(buf, w, 0, r.local.Src(0), r.local, r.part.X0, r.part.Width(), [3]int{})
 		return r.tr.Send(root, buf)
 	}
-	ds, err := r.globalSlab(dst)
+	dv, err := r.globalView(dst)
 	if err != nil {
 		return err
 	}
-	*ds.Step = *r.local.Step
+	*dv.Step = *r.local.Step
 	if err := r.Territory(dst); err != nil {
 		return err
 	}
@@ -32,12 +32,12 @@ func (r *Rank) GatherTo(root int, dst any) error {
 			continue
 		}
 		p := parts[peer]
-		w := r.local.wire(p.Width())
-		buf := make([]float64, p.Width()*r.local.planeLen())
+		w := wire(r.local, p.Width())
+		buf := make([]float64, p.Width()*planeLen(r.local))
 		if err := r.tr.Recv(peer, buf); err != nil {
 			return err
 		}
-		copyPlanes(ds.cur(), &ds, p.X0, buf, &w, 0, p.Width(), [2]int{})
+		copyPlanes(dv.Src(0), dv, p.X0, buf, w, 0, p.Width(), [3]int{})
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ func TestGatherOverTransport(t *testing.T) {
 	initial.Fill(func(x, y int) float64 { return rng.Float64() })
 
 	ref := initial.Clone()
-	naive.Run2D(ref, stencil.Heat2D, 8, nil)
+	naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), 8, nil, nil)
 
 	ts := LocalCluster(nranks)
 	ranks := make([]*Rank, nranks)

@@ -90,7 +90,7 @@ func TestOverlapMatchesSingleRank(t *testing.T) {
 			initial.SetBoundary(0.5)
 
 			ref := initial.Clone()
-			naive.Run2D(ref, spec, 10, nil)
+			naive.Run(ref.View(), stencil.OneStage(spec), 10, nil, nil)
 
 			got := runClusterMode(t, LocalCluster(nranks), cfg, spec, initial, 10, true)
 			if r := verify.Grids2D(got, ref); !r.Equal {
@@ -108,7 +108,7 @@ func TestOverlapRaggedSteps(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		initial.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := initial.Clone()
-		naive.Run2D(ref, stencil.Heat2D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 		got := runClusterMode(t, LocalCluster(3), cfg, stencil.Heat2D, initial, steps, true)
 		if r := verify.Grids2D(got, ref); !r.Equal {
 			t.Fatalf("steps=%d: %v", steps, r.Error("overlapped-ragged"))
@@ -125,7 +125,7 @@ func TestOverlapOverTCP(t *testing.T) {
 		rng := rand.New(rand.NewSource(77))
 		initial.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := initial.Clone()
-		naive.Run2D(ref, stencil.Heat2D, 9, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), 9, nil, nil)
 		got := runClusterMode(t, ts, cfg, stencil.Heat2D, initial, 9, true)
 		if r := verify.Grids2D(got, ref); !r.Equal {
 			t.Fatalf("nranks=%d: %v", nranks, r.Error("overlapped-tcp"))
@@ -143,7 +143,7 @@ func TestOverlap3DMatchesSingleRank(t *testing.T) {
 		initial.SetBoundary(0.25)
 
 		ref := initial.Clone()
-		naive.Run3D(ref, stencil.Heat3D, 7, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat3D), 7, nil, nil)
 
 		ts := LocalCluster(nranks)
 		ranks := make([]*Rank, nranks)

@@ -59,9 +59,8 @@ type Rank struct {
 	cfg        *core.Config // global configuration
 	spec       *stencil.Spec
 	pool       *par.Pool
-	local      slab // planes [X0-ExtLo, X1+ExtHi) of the domain
-	h          int  // exchange-halo width
-	xbase      int  // global x of local interior plane 0
+	local      grid.View // planes [X0-ExtLo, X1+ExtHi) of the domain
+	h          int       // exchange-halo width
 	ex         *exchanger
 	overlap    bool
 	span       telemetry.Event // the open interior or halo span
@@ -97,21 +96,21 @@ func NewRank(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spec,
 	p := parts[id]
 	r := &Rank{
 		ID: id, NRanks: nranks,
-		tr:    tr,
-		part:  p,
-		cfg:   cfg,
-		spec:  spec,
-		pool:  par.NewPool(workers),
-		h:     h,
-		xbase: p.X0 - p.ExtLo,
+		tr:   tr,
+		part: p,
+		cfg:  cfg,
+		spec: spec,
+		pool: par.NewPool(workers),
+		h:    h,
 	}
 	nx, s := p.ExtLo+p.Width()+p.ExtHi, spec.Slopes
 	if spec.Dims == 2 {
-		r.local, _ = slabOf(grid.NewGrid2D(nx, cfg.N[1], s[0], s[1]))
+		r.local = grid.NewGrid2D(nx, cfg.N[1], s[0], s[1]).View()
 	} else {
-		r.local, _ = slabOf(grid.NewGrid3D(nx, cfg.N[1], cfg.N[2], s[0], s[1], s[2]))
+		r.local = grid.NewGrid3D(nx, cfg.N[1], cfg.N[2], s[0], s[1], s[2]).View()
 	}
-	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*r.local.planeLen(), r.packStrip, r.unpackStrip)
+	r.local.X0 = p.X0 - p.ExtLo
+	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*planeLen(r.local), r.packStrip, r.unpackStrip)
 	return r, nil
 }
 
@@ -134,25 +133,26 @@ func (r *Rank) Partition() Partition { return r.part }
 // deployment each rank would construct its slab directly; Scatter
 // exists for tests and examples that hold the global state anyway.
 func (r *Rank) Scatter(global any) error {
-	gs, err := r.globalSlab(global)
+	gv, err := r.globalView(global)
 	if err != nil {
 		return err
 	}
-	lg := &r.local
-	if gs.h[1] < lg.h[1] || gs.h[2] < lg.h[2] {
-		return fmt.Errorf("dist: global grid halo %v narrower than the rank's %v", gs.h, lg.h)
+	lv := r.local
+	if gv.H[1] < lv.H[1] || gv.H[2] < lv.H[2] {
+		return fmt.Errorf("dist: global grid halo %v narrower than the rank's %v", gv.H[:gv.D], lv.H[:lv.D])
 	}
 	// Whole planes with their rows' halos; planes beyond the domain
 	// (possible only at domain ends, where ext is clipped) copy the
 	// outermost global halo plane.
-	pad := [2]int{lg.h[1], lg.h[2]}
-	for xl := -lg.h[0]; xl < lg.n[0]+lg.h[0]; xl++ {
-		gx := min(max(r.xbase+xl, -gs.h[0]), gs.n[0]+gs.h[0]-1)
+	pad := lv.H
+	pad[0] = 0
+	for x := lv.X0 - lv.H[0]; x < lv.X0+lv.N[0]+lv.H[0]; x++ {
+		gx := min(max(x, -gv.H[0]), gv.N[0]+gv.H[0]-1)
 		for p := 0; p < 2; p++ {
-			copyPlanes(lg.Buf[p], lg, xl, gs.Buf[p], &gs, gx, 1, pad)
+			copyPlanes(lv.Buf[p], lv, x, gv.Buf[p], gv, gx, 1, pad)
 		}
 	}
-	*lg.Step = *gs.Step
+	*lv.Step = *gv.Step
 	return nil
 }
 
@@ -160,21 +160,30 @@ func (r *Rank) Scatter(global any) error {
 // a full-size global grid of the rank's dimension; used to gather
 // results.
 func (r *Rank) Territory(dst any) error {
-	ds, err := r.globalSlab(dst)
+	dv, err := r.globalView(dst)
 	if err != nil {
 		return err
 	}
-	copyPlanes(ds.cur(), &ds, r.part.X0, r.local.cur(), &r.local, r.part.X0-r.xbase, r.part.Width(), [2]int{})
+	copyPlanes(dv.Src(0), dv, r.part.X0, r.local.Src(0), r.local, r.part.X0, r.part.Width(), [3]int{})
 	return nil
 }
 
-// globalSlab views g as a grid of the config's global extents.
-func (r *Rank) globalSlab(g any) (slab, error) {
-	s, err := slabOf(g)
-	if err == nil && !slices.Equal(s.ext, r.cfg.N) {
-		err = fmt.Errorf("dist: global grid %v != config %v", s.ext, r.cfg.N)
+// globalView views g, a *grid.Grid2D or *grid.Grid3D, as a grid of the
+// config's global extents.
+func (r *Rank) globalView(g any) (grid.View, error) {
+	var v grid.View
+	switch g := g.(type) {
+	case *grid.Grid2D:
+		v = g.View()
+	case *grid.Grid3D:
+		v = g.View()
+	default:
+		return v, fmt.Errorf("dist: %T is not a *grid.Grid2D or *grid.Grid3D", g)
 	}
-	return s, err
+	if !slices.Equal(v.Extents(), r.cfg.N) {
+		return v, fmt.Errorf("dist: global grid %v != config %v", v.Extents(), r.cfg.N)
+	}
+	return v, nil
 }
 
 // Run advances the rank's slab by steps time steps. All ranks must call
@@ -211,7 +220,7 @@ func (r *Rank) Run(steps int) error {
 			}, Blocks: halo},
 		}
 	}
-	err = core.RunSlab(r.local.g, stencil.OneStage(r.spec), sched, r.pool, r.xbase, plan)
+	err = core.Run(r.local, stencil.OneStage(r.spec), sched, r.pool, nil, nil, plan)
 	r.closeSpan()
 	r.MessagesSent, r.FloatsSent = r.ex.messages, r.ex.floats
 	return err
@@ -334,76 +343,55 @@ func countTransfer(dir string, peer, floats int) {
 // global plane gx0, both parity buffers, into buf; unpackStrip is the
 // inverse. A strip holds 2*h*planeLen floats.
 func (r *Rank) packStrip(gx0 int, buf []float64) {
-	w := r.local.wire(2 * r.h)
+	w := wire(r.local, 2*r.h)
 	for p := 0; p < 2; p++ {
-		copyPlanes(buf, &w, p*r.h, r.local.Buf[p], &r.local, gx0-r.xbase, r.h, [2]int{})
+		copyPlanes(buf, w, p*r.h, r.local.Buf[p], r.local, gx0, r.h, [3]int{})
 	}
 }
 
 func (r *Rank) unpackStrip(gx0 int, buf []float64) {
-	w := r.local.wire(2 * r.h)
+	w := wire(r.local, 2*r.h)
 	for p := 0; p < 2; p++ {
-		copyPlanes(r.local.Buf[p], &r.local, gx0-r.xbase, buf, &w, p*r.h, r.h, [2]int{})
+		copyPlanes(r.local.Buf[p], r.local, gx0, buf, w, p*r.h, r.h, [3]int{})
 	}
 }
 
-// slab views a *grid.Grid2D or *grid.Grid3D as its dimension-0 planes
-// of rows, a 2D plane being a single row: interior cell (x, y, z) lives
-// at org + x*sx + y*sy + z for y < n[1] and z < n[2], with h the halo
-// widths. g is the grid, ext its interior extents, and Buf and Step
-// point at its fields. A wire buffer is a slab with no grid.
-type slab struct {
-	g           any
-	ext         []int
-	Buf         *[2][]float64
-	Step        *int
-	n, h        [3]int
-	org, sx, sy int
-}
+// planeLen returns the interior cell count of one dimension-0 plane of
+// v.
+func planeLen(v grid.View) int { return v.N[1] * v.N[2] }
 
-// slabOf views g, which must be a *grid.Grid2D or *grid.Grid3D.
-func slabOf(g any) (slab, error) {
-	switch g := g.(type) {
-	case *grid.Grid2D:
-		return slab{
-			g: g, ext: []int{g.NX, g.NY}, Buf: &g.Buf, Step: &g.Step,
-			n: [3]int{g.NX, 1, g.NY}, h: [3]int{g.HX, 0, g.HY},
-			org: g.Idx(0, 0), sx: g.SY,
-		}, nil
-	case *grid.Grid3D:
-		return slab{
-			g: g, ext: []int{g.NX, g.NY, g.NZ}, Buf: &g.Buf, Step: &g.Step,
-			n: [3]int{g.NX, g.NY, g.NZ}, h: [3]int{g.HX, g.HY, g.HZ},
-			org: g.Idx(0, 0, 0), sx: g.SX, sy: g.SY,
-		}, nil
+// wire returns the dense layout of planes planes of v's interior rows,
+// numbered from 0: the wire format of strips and gathers, a view with
+// no halo and no buffers.
+func wire(v grid.View, planes int) grid.View {
+	w := grid.View{D: v.D, N: v.N}
+	w.N[0] = planes
+	w.S[v.D-1] = 1
+	for k := v.D - 2; k >= 0; k-- {
+		w.S[k] = w.S[k+1] * w.N[k+1]
 	}
-	return slab{}, fmt.Errorf("dist: %T is not a *grid.Grid2D or *grid.Grid3D", g)
+	return w
 }
 
-// planeLen returns the interior cell count of one plane.
-func (s *slab) planeLen() int { return s.n[1] * s.n[2] }
-
-// cur returns the buffer holding the current values.
-func (s *slab) cur() []float64 { return s.Buf[*s.Step&1] }
-
-// wire returns the dense layout of planes planes of s's interior rows,
-// the wire format of strips and gathers.
-func (s *slab) wire(planes int) slab {
-	return slab{n: [3]int{planes, s.n[1], s.n[2]}, sx: s.planeLen(), sy: s.n[2]}
-}
-
-func (s *slab) idx(x, y, z int) int { return s.org + x*s.sx + y*s.sy + z }
-
-// copyPlanes copies the rows of count planes of src, from plane sx0 of
-// its buffer sb, to dst's buffer db from plane dx0. Each plane's rows
-// are widened by pad[0] rows and each row by pad[1] cells per side, so
-// a zero pad moves interior rows only.
-func copyPlanes(db []float64, dst *slab, dx0 int, sb []float64, src *slab, sx0, count int, pad [2]int) {
-	w := src.n[2] + 2*pad[1]
+// copyPlanes copies count dimension-0 planes of src's buffer sb, from
+// domain plane sx0 on, into dst's buffer db from plane dx0 on, row by
+// row of the unit-stride dimension; the views' other extents must
+// agree. Each plane is widened by pad[k] cells per side along every
+// dimension k >= 1, so a zero pad moves interior cells only.
+func copyPlanes(db []float64, dst grid.View, dx0 int, sb []float64, src grid.View, sx0, count int, pad [3]int) {
+	z := src.D - 1
+	w := src.N[z] + 2*pad[z]
+	var lo, hi [3]int
+	for k := 1; k < 3; k++ {
+		lo[k], hi[k] = -pad[k], src.N[k]+pad[k]
+	}
+	hi[z] = lo[z] + 1
 	for x := 0; x < count; x++ {
-		for y := -pad[0]; y < src.n[1]+pad[0]; y++ {
-			d, s := dst.idx(dx0+x, y, -pad[1]), src.idx(sx0+x, y, -pad[1])
-			copy(db[d:d+w], sb[s:s+w])
+		for y := lo[1]; y < hi[1]; y++ {
+			for c := lo[2]; c < hi[2]; c++ {
+				d, s := dst.Index([3]int{dx0 + x, y, c}), src.Index([3]int{sx0 + x, y, c})
+				copy(db[d:d+w], sb[s:s+w])
+			}
 		}
 	}
 }

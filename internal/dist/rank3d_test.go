@@ -61,7 +61,7 @@ func TestDistributed3DMatchesSingleRank(t *testing.T) {
 			initial.SetBoundary(0.25)
 
 			ref := initial.Clone()
-			naive.Run3D(ref, spec, 7, nil)
+			naive.Run(ref.View(), stencil.OneStage(spec), 7, nil, nil)
 
 			got := runCluster3D(t, nranks, cfg, spec, initial, 7)
 			if r := verify.Grids3D(got, ref); !r.Equal {
@@ -88,7 +88,7 @@ func TestDistributed3DVarCoef(t *testing.T) {
 		kapGlobal[i] = 1
 	}
 	ref := initial.Clone()
-	naive.Run3D(ref, stencil.NewVarCoef3D(kapGlobal), 6, nil)
+	naive.Run(ref.View(), stencil.OneStage(stencil.NewVarCoef3D(kapGlobal)), 6, nil, nil)
 
 	// Distributed: each rank needs a kappa slice in its local layout.
 	nranks := 2

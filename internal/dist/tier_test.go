@@ -112,9 +112,9 @@ func runCore(t *testing.T, g any, cfg *core.Config, spec *stencil.Spec, steps in
 	defer pool.Close()
 	switch g := g.(type) {
 	case *grid.Grid2D:
-		err = core.Run2D(g, stencil.OneStage(spec), sched, pool, nil, nil)
+		err = core.Run(g.View(), stencil.OneStage(spec), sched, pool, nil, nil, nil)
 	case *grid.Grid3D:
-		err = core.Run3D(g, stencil.OneStage(spec), sched, pool, nil, nil)
+		err = core.Run(g.View(), stencil.OneStage(spec), sched, pool, nil, nil, nil)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -128,6 +128,23 @@ func (m *Mask) Active(p ...int) bool {
 // CountBox or RowRun. After Finalize the mask is immutable.
 func (m *Mask) Finalize() { m.once.Do(m.build) }
 
+// Fit checks that m covers a grid of interior extents n and finalizes
+// it, so that an executor's parallel bodies only ever read it. A nil
+// mask, the full domain, fits every grid.
+func (m *Mask) Fit(n []int) error {
+	if m == nil {
+		return nil
+	}
+	if len(m.Dims) != len(n) {
+		return fmt.Errorf("mask rank %d != grid rank %d", len(m.Dims), len(n))
+	}
+	if !slices.Equal(m.Dims, n) {
+		return fmt.Errorf("mask extents %v != grid extents %v", m.Dims, n)
+	}
+	m.Finalize()
+	return nil
+}
+
 // build fills the summed-area and row-run tables and only then marks
 // the mask final. The table has the mask's rank: entry (x+1, y+1, z+1)
 // of a 3D mask (and likewise for 2D and 1D) is the active count of the

@@ -7,8 +7,14 @@ package grid
 // D hold extent 1, halo 0 and stride 0, so they add nothing to an
 // index. Buf and Step point into the grid, so a run that advances
 // *Step is seen by the grid.
+//
+// X0 places the view in a larger domain: it holds the dimension-0
+// planes [X0, X0+N[0]) of it (with their halos), and Index and Box
+// take domain coordinates. A grid's own view has X0 = 0; a distributed
+// rank's slab is a view of its planes with X0 set.
 type View struct {
 	D    int
+	X0   int    // domain index of the view's first dimension-0 plane
 	N    [3]int // interior extents
 	H    [3]int // halo widths
 	S    [3]int // strides in cells
@@ -41,12 +47,20 @@ func (v View) Src(t int) []float64 { return v.Buf[(*v.Step+t)&1] }
 // Dst returns the buffer step t of a run writes, counting as Src does.
 func (v View) Dst(t int) []float64 { return v.Buf[(*v.Step+t+1)&1] }
 
-// Box returns the flat index of interior point lo and the extents of
-// the box [lo, hi): the corner and shape a whole-box kernel takes.
+// Index returns the flat index of domain point p.
+func (v View) Index(p [3]int) int {
+	i := -v.X0 * v.S[0]
+	for k := range p {
+		i += (p[k] + v.H[k]) * v.S[k]
+	}
+	return i
+}
+
+// Box returns the flat index of domain point lo and the extents of the
+// box [lo, hi): the corner and shape a whole-box kernel takes.
 func (v View) Box(lo, hi [3]int) (base int, n [3]int) {
 	for k := range lo {
-		base += (lo[k] + v.H[k]) * v.S[k]
 		n[k] = hi[k] - lo[k]
 	}
-	return base, n
+	return v.Index(lo), n
 }

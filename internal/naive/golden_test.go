@@ -61,7 +61,8 @@ func goldenCases() []goldenCase {
 }
 
 // golden maps each case to its hash, recorded from the per-rank oracle
-// entries this table was written against.
+// entries (Run1D/2D/3D, RunMasked1D/2D/3D and RunPipeline1D/2D/3D)
+// that Run replaced.
 var golden = map[string]uint64{
 	"heat-1d/":                           0xc4eda41323b0328a,
 	"heat-1d/lshape":                     0x4e3ad97e41c0743f,
@@ -154,35 +155,23 @@ func runGolden(c goldenCase, pool *par.Pool) (uint64, error) {
 		src = src*31 + int64(r)
 	}
 	rng := rand.New(rand.NewSource(src))
-	seed := func(buf *[2][]float64, step *int) {
-		for b := range buf {
-			for i := range buf[b] {
-				buf[b][i] = rng.Float64()
-			}
-		}
-		*step = c.step0
-	}
-	var buf *[2][]float64
-	var step *int
-	var err error
+	var v grid.View
 	switch len(c.n) {
 	case 1:
-		g := grid.NewGrid1D(c.n[0], sl[0])
-		buf, step = &g.Buf, &g.Step
-		seed(buf, step)
-		err = goldenRun1D(g, c, p, pool, m)
+		v = grid.NewGrid1D(c.n[0], sl[0]).View()
 	case 2:
-		g := grid.NewGrid2D(c.n[0], c.n[1], sl[0], sl[1])
-		buf, step = &g.Buf, &g.Step
-		seed(buf, step)
-		err = goldenRun2D(g, c, p, pool, m)
+		v = grid.NewGrid2D(c.n[0], c.n[1], sl[0], sl[1]).View()
 	case 3:
-		g := grid.NewGrid3D(c.n[0], c.n[1], c.n[2], sl[0], sl[1], sl[2])
-		buf, step = &g.Buf, &g.Step
-		seed(buf, step)
-		err = goldenRun3D(g, c, p, pool, m)
+		v = grid.NewGrid3D(c.n[0], c.n[1], c.n[2], sl[0], sl[1], sl[2]).View()
 	}
-	if err != nil {
+	buf, step := v.Buf, v.Step
+	for b := range buf {
+		for i := range buf[b] {
+			buf[b][i] = rng.Float64()
+		}
+	}
+	*step = c.step0
+	if err := Run(v, p, c.steps, pool, m); err != nil {
 		return 0, err
 	}
 	if *step != c.step0+c.steps {
@@ -200,44 +189,6 @@ func runGolden(c goldenCase, pool *par.Pool) (uint64, error) {
 	}
 	mix(uint64(*step))
 	return h, nil
-}
-
-// goldenRun1D runs the case through the 1D oracle entries: the plain
-// runner for an unmasked stencil, the masked one for a masked stencil
-// and the pipeline runner otherwise.
-func goldenRun1D(g *grid.Grid1D, c goldenCase, p *stencil.Pipeline, pool *par.Pool, m *grid.Mask) error {
-	switch {
-	case c.p == nil && m == nil:
-		Run1D(g, c.s, c.steps, pool)
-		return nil
-	case c.p == nil:
-		return RunMasked1D(g, c.s, c.steps, pool, m)
-	}
-	return RunPipeline1D(g, p, c.steps, pool, m)
-}
-
-// goldenRun2D is goldenRun1D in 2D.
-func goldenRun2D(g *grid.Grid2D, c goldenCase, p *stencil.Pipeline, pool *par.Pool, m *grid.Mask) error {
-	switch {
-	case c.p == nil && m == nil:
-		Run2D(g, c.s, c.steps, pool)
-		return nil
-	case c.p == nil:
-		return RunMasked2D(g, c.s, c.steps, pool, m)
-	}
-	return RunPipeline2D(g, p, c.steps, pool, m)
-}
-
-// goldenRun3D is goldenRun1D in 3D.
-func goldenRun3D(g *grid.Grid3D, c goldenCase, p *stencil.Pipeline, pool *par.Pool, m *grid.Mask) error {
-	switch {
-	case c.p == nil && m == nil:
-		Run3D(g, c.s, c.steps, pool)
-		return nil
-	case c.p == nil:
-		return RunMasked3D(g, c.s, c.steps, pool, m)
-	}
-	return RunPipeline3D(g, p, c.steps, pool, m)
 }
 
 // goldenMask returns the named mask, or "striped": bands of three

@@ -21,8 +21,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		a.Fill(func(x int) float64 { return rng.Float64() })
 		b := a.Clone()
-		Run1D(a, stencil.Heat1D, 9, nil)
-		Run1D(b, stencil.Heat1D, 9, pool)
+		Run(a.View(), stencil.OneStage(stencil.Heat1D), 9, nil, nil)
+		Run(b.View(), stencil.OneStage(stencil.Heat1D), 9, pool, nil)
 		if r := verify.Grids1D(a, b); !r.Equal {
 			t.Fatal(r.Error("naive-1d"))
 		}
@@ -32,8 +32,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		a.Fill(func(x, y int) float64 { return rng.Float64() })
 		b := a.Clone()
-		Run2D(a, stencil.Heat2D, 7, nil)
-		Run2D(b, stencil.Heat2D, 7, pool)
+		Run(a.View(), stencil.OneStage(stencil.Heat2D), 7, nil, nil)
+		Run(b.View(), stencil.OneStage(stencil.Heat2D), 7, pool, nil)
 		if r := verify.Grids2D(a, b); !r.Equal {
 			t.Fatal(r.Error("naive-2d"))
 		}
@@ -43,8 +43,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		a.Fill(func(x, y, z int) float64 { return rng.Float64() })
 		b := a.Clone()
-		Run3D(a, stencil.Heat3D, 5, nil)
-		Run3D(b, stencil.Heat3D, 5, pool)
+		Run(a.View(), stencil.OneStage(stencil.Heat3D), 5, nil, nil)
+		Run(b.View(), stencil.OneStage(stencil.Heat3D), 5, pool, nil)
 		if r := verify.Grids3D(a, b); !r.Equal {
 			t.Fatal(r.Error("naive-3d"))
 		}
@@ -59,7 +59,7 @@ func TestSpaceTiledMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a.Fill(func(x, y int) float64 { return rng.Float64() })
 	b := a.Clone()
-	Run2D(a, stencil.Box2D9, 6, nil)
+	Run(a.View(), stencil.OneStage(stencil.Box2D9), 6, nil, nil)
 	if err := SpaceTiled(b.View(), stencil.Box2D9, 6, []int{13, 9}, pool); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSpaceTiledMatchesNaive(t *testing.T) {
 	a3 := grid.NewGrid3D(18, 14, 12, 1, 1, 1)
 	a3.Fill(func(x, y, z int) float64 { return rng.Float64() })
 	b3 := a3.Clone()
-	Run3D(a3, stencil.Box3D27, 4, nil)
+	Run(a3.View(), stencil.OneStage(stencil.Box3D27), 4, nil, nil)
 	if err := SpaceTiled(b3.View(), stencil.Box3D27, 4, []int{5, 6}, pool); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestHeatPhysics2D(t *testing.T) {
 	g.SetBoundary(0)
 	prevTotal := math.Inf(1)
 	for it := 0; it < 5; it++ {
-		Run2D(g, stencil.Heat2D, 10, nil)
+		Run(g.View(), stencil.OneStage(stencil.Heat2D), 10, nil, nil)
 		total := 0.0
 		for x := 0; x < 31; x++ {
 			for y := 0; y < 31; y++ {
@@ -106,8 +106,8 @@ func TestHeatPhysics2D(t *testing.T) {
 	}
 }
 
-// RunND with a 2D generic star must agree with the specialised Run2D
-// on the heat kernel coefficients.
+// RunND with a 2D generic star must agree with Run on the specialised
+// Heat2D spec on the heat kernel coefficients.
 func TestRunNDMatchesRun2D(t *testing.T) {
 	gs := &stencil.Generic{Name: "heat2d-nd", Dims: 2, Slopes: []int{1, 1}}
 	gs.Offsets = [][]int{{0, 0}, {-1, 0}, {1, 0}, {0, -1}, {0, 1}}
@@ -124,7 +124,7 @@ func TestRunNDMatchesRun2D(t *testing.T) {
 		}
 	}
 	RunND(nd, gs, 6, false)
-	Run2D(g2, stencil.Heat2D, 6, nil)
+	Run(g2.View(), stencil.OneStage(stencil.Heat2D), 6, nil, nil)
 	// The generic kernel associates the sum differently from the
 	// specialised one, so allow ulp-level drift (the bitwise-equality
 	// invariant holds only across schemes sharing one kernel).

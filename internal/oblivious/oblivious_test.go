@@ -34,7 +34,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 				if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 					t.Fatal(err)
 				}
-				naive.Run1D(ref, s, steps, nil)
+				naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 				if r := verify.Grids1D(g, ref); !r.Equal {
 					t.Fatalf("%s cfg=%+v steps=%d: %v", s.Name, cfg, steps, r.Error("oblivious-1d"))
 				}
@@ -59,7 +59,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 			if err := Run(g.View(), s, 11, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run2D(ref, s, 11, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), 11, nil, nil)
 			if r := verify.Grids2D(g, ref); !r.Equal {
 				t.Fatalf("%s cfg=%+v: %v", s.Name, cfg, r.Error("oblivious-2d"))
 			}
@@ -79,7 +79,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 			if err := Run(g.View(), s, 6, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run3D(ref, s, 6, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), 6, nil, nil)
 			if r := verify.Grids3D(g, ref); !r.Equal {
 				t.Fatalf("%s cfg=%+v: %v", s.Name, cfg, r.Error("oblivious-3d"))
 			}
@@ -105,7 +105,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		if err := Run(g.View(), stencil.Heat2D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run2D(ref, stencil.Heat2D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("iter %d cfg=%+v %dx%d steps=%d: %v", it, cfg, nx, ny, steps, r.Error("fuzz"))
 		}

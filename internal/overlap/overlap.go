@@ -56,14 +56,18 @@ func (c *Config) RedundancyFactor(slopes []int) float64 {
 	return total / float64(c.BT)
 }
 
-// Run2D advances a 2D grid by steps time steps. Each tile works in a
-// private scratch buffer covering its ghost-extended region, so tiles
-// are entirely independent within a time band; results are copied back
-// to the owned region only.
-func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+// Run advances the 2D grid v views by steps time steps; a grid of
+// another rank is refused untouched. Each tile works in a private
+// scratch buffer covering its ghost-extended region, so tiles are
+// entirely independent within a time band; results are copied back to
+// the owned region only.
+func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) error {
+	if v.D != 2 {
+		return fmt.Errorf("overlap: needs a 2D grid, got %dD", v.D)
+	}
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, err := s.ResolveBox(2, stencil.ActivePath())
+	k, _, err := s.ResolveBox(2, stencil.ActivePath())
 	if err != nil {
 		return fmt.Errorf("overlap: %w", err)
 	}
@@ -71,13 +75,14 @@ func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 		return err
 	}
 	sx, sy := s.Slopes[0], s.Slopes[1]
-	ntx := (g.NX + cfg.BX[0] - 1) / cfg.BX[0]
-	nty := (g.NY + cfg.BX[1] - 1) / cfg.BX[1]
+	nx, ny := v.N[0], v.N[1]
+	ntx := (nx + cfg.BX[0] - 1) / cfg.BX[0]
+	nty := (ny + cfg.BX[1] - 1) / cfg.BX[1]
 
 	for t0 := 0; t0 < steps; t0 += cfg.BT {
 		bt := min(cfg.BT, steps-t0)
 		ghostX, ghostY := bt*sx, bt*sy
-		src := g.Buf[g.Step&1]
+		src := v.Src(0)
 
 		// Scratch shape: owned tile + ghost + stencil halo per side.
 		w := cfg.BX[0] + 2*ghostX + 2*sx
@@ -87,16 +92,16 @@ func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 		pool.For(ntx*nty, func(ti int) {
 			tx, ty := ti/nty, ti%nty
 			x0, y0 := tx*cfg.BX[0], ty*cfg.BX[1]
-			x1, y1 := min(x0+cfg.BX[0], g.NX), min(y0+cfg.BX[1], g.NY)
+			x1, y1 := min(x0+cfg.BX[0], nx), min(y0+cfg.BX[1], ny)
 
 			a := make([]float64, w*h)
 			b := make([]float64, w*h)
 			// Load the ghost-extended region, clamped to grid+halo.
 			for x := 0; x < w; x++ {
-				gx := clamp(x0-ghostX-sx+x, -g.HX, g.NX+g.HX-1)
+				gx := clamp(x0-ghostX-sx+x, -v.H[0], nx+v.H[0]-1)
 				for y := 0; y < h; y++ {
-					gy := clamp(y0-ghostY-sy+y, -g.HY, g.NY+g.HY-1)
-					a[x*h+y] = src[g.Idx(gx, gy)]
+					gy := clamp(y0-ghostY-sy+y, -v.H[1], ny+v.H[1]-1)
+					a[x*h+y] = src[v.Index([3]int{gx, gy})]
 				}
 			}
 			// Advance bt steps; the valid interior shrinks by slope per
@@ -107,9 +112,9 @@ func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 			for u := 0; u < bt; u++ {
 				shrink := u + 1
 				xlo := max(sx*shrink, ghostX+sx-x0)
-				xhi := min(w-sx*shrink, g.NX-x0+ghostX+sx)
+				xhi := min(w-sx*shrink, nx-x0+ghostX+sx)
 				ylo := max(sy*shrink, ghostY+sy-y0)
-				yhi := min(h-sy*shrink, g.NY-y0+ghostY+sy)
+				yhi := min(h-sy*shrink, ny-y0+ghostY+sy)
 				// Keep boundary and not-yet-overwritten cells in the
 				// destination buffer.
 				copy(b, a)
@@ -129,17 +134,18 @@ func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg Config, pool *par.Poo
 		// (Step+bt). The other parity buffer is stale, but the next band
 		// reloads everything from the current buffer, so only the final
 		// parity matters.
-		dst := g.Buf[(g.Step+bt)&1]
+		dst := v.Src(bt)
 		pool.For(ntx*nty, func(ti int) {
 			tx, ty := ti/nty, ti%nty
 			x0, y0 := tx*cfg.BX[0], ty*cfg.BX[1]
-			x1, y1 := min(x0+cfg.BX[0], g.NX), min(y0+cfg.BX[1], g.NY)
+			x1, y1 := min(x0+cfg.BX[0], nx), min(y0+cfg.BX[1], ny)
 			out := results[ti]
 			for x := x0; x < x1; x++ {
-				copy(dst[g.Idx(x, y0):g.Idx(x, y0)+(y1-y0)], out[(x-x0)*(y1-y0):(x-x0+1)*(y1-y0)])
+				i := v.Index([3]int{x, y0})
+				copy(dst[i:i+(y1-y0)], out[(x-x0)*(y1-y0):(x-x0+1)*(y1-y0)])
 			}
 		})
-		g.Step += bt
+		*v.Step += bt
 	}
 	return nil
 }

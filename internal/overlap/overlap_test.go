@@ -27,10 +27,10 @@ func TestRun2DMatchesNaive(t *testing.T) {
 			}
 			g.SetBoundary(0.5)
 			ref := g.Clone()
-			if err := Run2D(g, s, steps, cfg, pool); err != nil {
+			if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run2D(ref, s, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 			if r := verify.Grids2D(g, ref); !r.Equal {
 				t.Fatalf("%s steps=%d: %v", s.Name, steps, r.Error("overlap-2d"))
 			}
@@ -53,10 +53,10 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		g := grid.NewGrid2D(nx, ny, 1, 1)
 		g.Fill(func(x, y int) float64 { return rng.Float64() })
 		ref := g.Clone()
-		if err := Run2D(g, stencil.Heat2D, steps, cfg, pool); err != nil {
+		if err := Run(g.View(), stencil.Heat2D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run2D(ref, stencil.Heat2D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("iter %d cfg=%+v %dx%d steps=%d: %v", it, cfg, nx, ny, steps, r.Error("fuzz"))
 		}
@@ -88,13 +88,16 @@ func TestConfigValidation(t *testing.T) {
 	pool := par.NewPool(1)
 	defer pool.Close()
 	g := grid.NewGrid2D(10, 10, 1, 1)
-	if err := Run2D(g, stencil.Heat2D, 2, Config{BT: 0, BX: []int{4, 4}}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat2D, 2, Config{BT: 0, BX: []int{4, 4}}, pool); err == nil {
 		t.Error("BT=0 accepted")
 	}
-	if err := Run2D(g, stencil.Heat2D, 2, Config{BT: 2, BX: []int{4}}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat2D, 2, Config{BT: 2, BX: []int{4}}, pool); err == nil {
 		t.Error("rank mismatch accepted")
 	}
-	if err := Run2D(g, stencil.Heat3D, 2, Config{BT: 2, BX: []int{4, 4}}, pool); err == nil {
+	if err := Run(g.View(), stencil.Heat3D, 2, Config{BT: 2, BX: []int{4, 4}}, pool); err == nil {
 		t.Error("3D kernel accepted")
+	}
+	if err := Run(grid.NewGrid3D(10, 10, 10, 1, 1, 1).View(), stencil.Heat3D, 2, Config{BT: 2, BX: []int{4, 4, 4}}, pool); err == nil {
+		t.Error("3D grid accepted")
 	}
 }

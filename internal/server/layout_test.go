@@ -78,7 +78,7 @@ func TestServeValuesPaddedRows(t *testing.T) {
 		t.Fatalf("SY=%d, want a padded stride", ref.SY)
 	}
 	SeedGrid2D(ref, "heat-2d", seed, DefaultBoundary("heat-2d"))
-	naive.Run2D(ref, stencil.Heat2D, steps, nil)
+	naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 
 	rows := 0
 	sc := bufio.NewScanner(bytes.NewReader(body))

@@ -476,37 +476,29 @@ func (s *Server) run(e *engine, j *job) error {
 	sched := j.sched
 
 	if j.spec != nil {
-		pipe := stencil.OneStage(j.spec)
-		switch j.spec.Dims {
+		var g any
+		var v grid.View
+		var sum func() float64
+		switch sl := j.spec.Slopes; j.spec.Dims {
 		case 1:
-			g := e.arena.Grid1D(req.N[0], j.spec.Slopes[0])
-			SeedGrid1D(g, req.Kernel, req.Seed, bd)
-			if err := core.Run1D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
-				e.arena.Release(g)
-				return err
-			}
-			j.res.Checksum = Checksum1D(g)
-			s.finishGrid(e, j, g)
+			g1 := e.arena.Grid1D(req.N[0], sl[0])
+			SeedGrid1D(g1, req.Kernel, req.Seed, bd)
+			g, v, sum = g1, g1.View(), func() float64 { return Checksum1D(g1) }
 		case 2:
-			g := e.arena.Grid2D(req.N[0], req.N[1], j.spec.Slopes[0], j.spec.Slopes[1])
-			SeedGrid2D(g, req.Kernel, req.Seed, bd)
-			if err := core.Run2D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
-				e.arena.Release(g)
-				return err
-			}
-			j.res.Checksum = Checksum2D(g)
-			s.finishGrid(e, j, g)
+			g2 := e.arena.Grid2D(req.N[0], req.N[1], sl[0], sl[1])
+			SeedGrid2D(g2, req.Kernel, req.Seed, bd)
+			g, v, sum = g2, g2.View(), func() float64 { return Checksum2D(g2) }
 		case 3:
-			g := e.arena.Grid3D(req.N[0], req.N[1], req.N[2],
-				j.spec.Slopes[0], j.spec.Slopes[1], j.spec.Slopes[2])
-			SeedGrid3D(g, req.Kernel, req.Seed, bd)
-			if err := core.Run3D(g, pipe, sched, e.pool, j.mask, &j.stop); err != nil {
-				e.arena.Release(g)
-				return err
-			}
-			j.res.Checksum = Checksum3D(g)
-			s.finishGrid(e, j, g)
+			g3 := e.arena.Grid3D(req.N[0], req.N[1], req.N[2], sl[0], sl[1], sl[2])
+			SeedGrid3D(g3, req.Kernel, req.Seed, bd)
+			g, v, sum = g3, g3.View(), func() float64 { return Checksum3D(g3) }
 		}
+		if err := core.Run(v, stencil.OneStage(j.spec), sched, e.pool, j.mask, &j.stop, nil); err != nil {
+			e.arena.Release(g)
+			return err
+		}
+		j.res.Checksum = sum()
+		s.finishGrid(e, j, g)
 		return nil
 	}
 

@@ -73,7 +73,7 @@ func TestServeChecksumMatchesNaive(t *testing.T) {
 	SeedGrid2D(ref, "heat-2d", seed, DefaultBoundary("heat-2d"))
 	pool := par.NewPool(1)
 	defer pool.Close()
-	naive.Run2D(ref, stencil.Heat2D, steps, pool)
+	naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, pool, nil)
 	want := Checksum2D(ref)
 
 	if res.Checksum != want {

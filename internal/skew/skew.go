@@ -84,7 +84,7 @@ func Run(v grid.View, s *stencil.Spec, steps int, cfg Config, pool *par.Pool) er
 	}
 	// One kernel resolution per run through the shared path selector
 	// (see core.SetKernelPath), like every other scheme.
-	k, err := s.ResolveBox(v.D, stencil.ActivePath())
+	k, _, err := s.ResolveBox(v.D, stencil.ActivePath())
 	if err != nil {
 		return fmt.Errorf("skew: %w", err)
 	}

@@ -25,7 +25,7 @@ func TestRun1DMatchesNaive(t *testing.T) {
 			if err := Run(g.View(), s, steps, cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			naive.Run1D(ref, s, steps, nil)
+			naive.Run(ref.View(), stencil.OneStage(s), steps, nil, nil)
 			if r := verify.Grids1D(g, ref); !r.Equal {
 				t.Fatalf("%s steps=%d: %v", s.Name, steps, r.Error("skew-1d"))
 			}
@@ -50,7 +50,7 @@ func TestRun2DMatchesNaive(t *testing.T) {
 		if err := Run(g.View(), s, 8, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run2D(ref, s, 8, nil)
+		naive.Run(ref.View(), stencil.OneStage(s), 8, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("%s: %v", s.Name, r.Error("skew-2d"))
 		}
@@ -70,7 +70,7 @@ func TestRun3DMatchesNaive(t *testing.T) {
 		if err := Run(g.View(), s, 5, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run3D(ref, s, 5, nil)
+		naive.Run(ref.View(), stencil.OneStage(s), 5, nil, nil)
 		if r := verify.Grids3D(g, ref); !r.Equal {
 			t.Fatalf("%s: %v", s.Name, r.Error("skew-3d"))
 		}
@@ -95,7 +95,7 @@ func TestFuzzAgainstNaive(t *testing.T) {
 		if err := Run(g.View(), stencil.Heat2D, steps, cfg, pool); err != nil {
 			t.Fatal(err)
 		}
-		naive.Run2D(ref, stencil.Heat2D, steps, nil)
+		naive.Run(ref.View(), stencil.OneStage(stencil.Heat2D), steps, nil, nil)
 		if r := verify.Grids2D(g, ref); !r.Equal {
 			t.Fatalf("iter %d cfg=%+v n=%dx%d steps=%d: %v", it, cfg, nx, ny, steps, r.Error("fuzz"))
 		}

@@ -144,22 +144,22 @@ func (s *Spec) Resolve3D(p Path) (Kernel3DBlock, Path) {
 type BoxKernel func(dst, src []float64, base int, n, st [3]int)
 
 // ResolveBox returns s's box kernel on the highest tier up to p that s
-// carries, through Resolve1D, Resolve2D or Resolve3D. It fails unless s
-// is a d-dimensional kernel with its row kernel set, the tier every
-// other one falls back to.
-func (s *Spec) ResolveBox(d int, p Path) (BoxKernel, error) {
+// carries, through Resolve1D, Resolve2D or Resolve3D, and the tier it
+// resolved to. It fails unless s is a d-dimensional kernel with its row
+// kernel set, the tier every other one falls back to.
+func (s *Spec) ResolveBox(d int, p Path) (BoxKernel, Path, error) {
 	switch {
 	case d == 1 && s.Dims == 1 && s.K1 != nil:
-		k, _ := s.Resolve1D(p)
-		return func(dst, src []float64, base int, n, _ [3]int) { k(dst, src, base, base+n[0]) }, nil
+		k, kp := s.Resolve1D(p)
+		return func(dst, src []float64, base int, n, _ [3]int) { k(dst, src, base, base+n[0]) }, kp, nil
 	case d == 2 && s.Dims == 2 && s.K2 != nil:
-		k, _ := s.Resolve2D(p)
-		return func(dst, src []float64, base int, n, st [3]int) { k(dst, src, base, n[0], n[1], st[0]) }, nil
+		k, kp := s.Resolve2D(p)
+		return func(dst, src []float64, base int, n, st [3]int) { k(dst, src, base, n[0], n[1], st[0]) }, kp, nil
 	case d == 3 && s.Dims == 3 && s.K3 != nil:
-		k, _ := s.Resolve3D(p)
+		k, kp := s.Resolve3D(p)
 		return func(dst, src []float64, base int, n, st [3]int) {
 			k(dst, src, base, n[0], n[1], n[2], st[1], st[0])
-		}, nil
+		}, kp, nil
 	}
-	return nil, fmt.Errorf("%s is not a %dD kernel", s.Name, d)
+	return nil, PathRow, fmt.Errorf("%s is not a %dD kernel", s.Name, d)
 }

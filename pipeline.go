@@ -5,6 +5,7 @@ import (
 
 	"tessellate/internal/core"
 	"tessellate/internal/grid"
+	"tessellate/internal/naive"
 	"tessellate/internal/stencil"
 )
 
@@ -44,63 +45,64 @@ func checkPipelineRun(p *Pipeline, dims, steps int, opt Options) ([]int, error) 
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline1D(g *Grid1D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	return e.runPipeline(g, g.View(), p, steps, m, opt)
+	return e.runPipeline(g.View(), p, steps, m, opt)
 }
 
 // RunPipeline2D advances a 2D grid by steps logical time steps of the
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline2D(g *Grid2D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	return e.runPipeline(g, g.View(), p, steps, m, opt)
+	return e.runPipeline(g.View(), p, steps, m, opt)
 }
 
 // RunPipeline3D advances a 3D grid by steps logical time steps of the
 // pipeline p. A non-nil mask m freezes its inactive cells. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunPipeline3D(g *Grid3D, p *Pipeline, steps int, m *Mask, opt Options) error {
-	return e.runPipeline(g, g.View(), p, steps, m, opt)
+	return e.runPipeline(g.View(), p, steps, m, opt)
 }
 
-// runPipeline is RunPipeline1D, RunPipeline2D and RunPipeline3D on g,
-// whose layout is v.
-func (e *Engine) runPipeline(g any, v grid.View, p *Pipeline, steps int, m *Mask, opt Options) error {
+// runPipeline is RunPipeline1D, RunPipeline2D and RunPipeline3D on the
+// grid v views.
+func (e *Engine) runPipeline(v grid.View, p *Pipeline, steps int, m *Mask, opt Options) error {
 	slopes, err := checkPipelineRun(p, v.D, steps, opt)
 	if err != nil {
 		return err
 	}
-	var sched *core.Schedule
-	if opt.Scheme == Tessellation {
-		if sched, err = tessSchedule(v.Extents(), slopes, p.StencilStages(), steps, opt); err != nil {
-			return err
-		}
+	if opt.Scheme == Naive {
+		return naive.Run(v, p, steps, e.pool, m)
 	}
-	return e.typed(g, nil, p, m, sched, steps)
+	sched, err := tessSchedule(v.Extents(), slopes, p.StencilStages(), steps, opt)
+	if err != nil {
+		return err
+	}
+	return core.Run(v, p, sched, e.pool, m, nil, nil)
 }
 
 // RunMasked1D advances the active cells of a masked 1D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked1D(g *Grid1D, s *Stencil, steps int, m *Mask, opt Options) error {
-	return e.runMasked(g, g.View(), s, steps, m, opt)
+	return e.runMasked(g.View(), s, steps, m, opt)
 }
 
 // RunMasked2D advances the active cells of a masked 2D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked2D(g *Grid2D, s *Stencil, steps int, m *Mask, opt Options) error {
-	return e.runMasked(g, g.View(), s, steps, m, opt)
+	return e.runMasked(g.View(), s, steps, m, opt)
 }
 
 // RunMasked3D advances the active cells of a masked 3D grid by steps
 // time steps of s; inactive cells keep their seed values. Only the
 // Tessellation and Naive schemes are supported.
 func (e *Engine) RunMasked3D(g *Grid3D, s *Stencil, steps int, m *Mask, opt Options) error {
-	return e.runMasked(g, g.View(), s, steps, m, opt)
+	return e.runMasked(g.View(), s, steps, m, opt)
 }
 
-// runMasked is RunMasked1D, RunMasked2D and RunMasked3D on g, whose
-// layout is v.
-func (e *Engine) runMasked(g any, v grid.View, s *Stencil, steps int, m *Mask, opt Options) error {
+// runMasked is RunMasked1D, RunMasked2D and RunMasked3D on the grid v
+// views.
+func (e *Engine) runMasked(v grid.View, s *Stencil, steps int, m *Mask, opt Options) error {
 	if err := checkStencilRun(s, v.D, steps, opt); err != nil {
 		return err
 	}
@@ -110,5 +112,5 @@ func (e *Engine) runMasked(g any, v grid.View, s *Stencil, steps int, m *Mask, o
 	if opt.Scheme != Tessellation && opt.Scheme != Naive {
 		return fmt.Errorf("tessellate: masked runs support the tessellation and naive schemes, got %v", opt.Scheme)
 	}
-	return e.runPipeline(g, v, stencil.OneStage(s), steps, m, opt)
+	return e.runPipeline(v, stencil.OneStage(s), steps, m, opt)
 }

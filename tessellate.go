@@ -311,21 +311,21 @@ func (e *Engine) AllocGrid3D(nx, ny, nz, hx, hy, hz int) *Grid3D {
 
 // Run1D advances a 1D grid by steps time steps of s under opt.
 func (e *Engine) Run1D(g *Grid1D, s *Stencil, steps int, opt Options) error {
-	return e.run(g, g.View(), s, steps, opt)
+	return e.run(g.View(), s, steps, opt)
 }
 
 // Run2D advances a 2D grid by steps time steps of s under opt.
 func (e *Engine) Run2D(g *Grid2D, s *Stencil, steps int, opt Options) error {
-	return e.run(g, g.View(), s, steps, opt)
+	return e.run(g.View(), s, steps, opt)
 }
 
 // Run3D advances a 3D grid by steps time steps of s under opt.
 func (e *Engine) Run3D(g *Grid3D, s *Stencil, steps int, opt Options) error {
-	return e.run(g, g.View(), s, steps, opt)
+	return e.run(g.View(), s, steps, opt)
 }
 
-// run is Run1D, Run2D and Run3D on g, whose layout is v.
-func (e *Engine) run(g any, v grid.View, s *Stencil, steps int, opt Options) error {
+// run is Run1D, Run2D and Run3D on the grid v views.
+func (e *Engine) run(v grid.View, s *Stencil, steps int, opt Options) error {
 	if err := checkStencilRun(s, v.D, steps, opt); err != nil {
 		return err
 	}
@@ -335,7 +335,7 @@ func (e *Engine) run(g any, v grid.View, s *Stencil, steps int, opt Options) err
 		if err != nil {
 			return err
 		}
-		return e.typed(g, nil, stencil.OneStage(s), nil, sched, steps)
+		return core.Run(v, stencil.OneStage(s), sched, e.pool, nil, nil, nil)
 	case SpaceTiled:
 		if v.D > 1 {
 			def := 64
@@ -348,7 +348,7 @@ func (e *Engine) run(g any, v grid.View, s *Stencil, steps int, opt Options) err
 		// A 1D space tile is the naive sweep's per-worker chunk.
 		fallthrough
 	case Naive:
-		return e.typed(g, s, nil, nil, nil, steps)
+		return naive.Run(v, stencil.OneStage(s), steps, e.pool, nil)
 	case Skewed:
 		return skew.Run(v, s, steps, skewConfig(s, opt), e.pool)
 	case Diamond:
@@ -360,54 +360,17 @@ func (e *Engine) run(g any, v grid.View, s *Stencil, steps int, opt Options) err
 			return diamond.RunMWD(v, s, steps, diamondConfig(s, opt), e.pool)
 		}
 	case Overlapped:
-		if g, ok := g.(*Grid2D); ok {
-			return overlap.Run2D(g, s, steps, overlapConfig(s, opt), e.pool)
+		if v.D == 2 {
+			return overlap.Run(v, s, steps, overlapConfig(s, opt), e.pool)
 		}
 	case D35:
-		if g, ok := g.(*Grid3D); ok {
-			return d35.Run3D(g, s, steps, d35Config(s, opt), e.pool)
+		if v.D == 3 {
+			return d35.Run(v, s, steps, d35Config(s, opt), e.pool)
 		}
 	default:
 		return fmt.Errorf("tessellate: unknown scheme %v", opt.Scheme)
 	}
 	return fmt.Errorf("tessellate: scheme %v is not available in %dD", opt.Scheme, v.D)
-}
-
-// typed runs g, a *Grid1D, *Grid2D or *Grid3D, through its rank's
-// typed entry: with a schedule, the tessellation executor core.Run*D
-// over the pipeline p; without one, the naive oracle, naive.Run*D for
-// a plain stencil s and naive.RunPipeline*D for p otherwise.
-func (e *Engine) typed(g any, s *Stencil, p *Pipeline, m *Mask, sched *core.Schedule, steps int) error {
-	switch g := g.(type) {
-	case *Grid1D:
-		switch {
-		case sched != nil:
-			return core.Run1D(g, p, sched, e.pool, m, nil)
-		case s != nil:
-			naive.Run1D(g, s, steps, e.pool)
-			return nil
-		}
-		return naive.RunPipeline1D(g, p, steps, e.pool, m)
-	case *Grid2D:
-		switch {
-		case sched != nil:
-			return core.Run2D(g, p, sched, e.pool, m, nil)
-		case s != nil:
-			naive.Run2D(g, s, steps, e.pool)
-			return nil
-		}
-		return naive.RunPipeline2D(g, p, steps, e.pool, m)
-	case *Grid3D:
-		switch {
-		case sched != nil:
-			return core.Run3D(g, p, sched, e.pool, m, nil)
-		case s != nil:
-			naive.Run3D(g, s, steps, e.pool)
-			return nil
-		}
-		return naive.RunPipeline3D(g, p, steps, e.pool, m)
-	}
-	return fmt.Errorf("tessellate: %T is not a grid", g)
 }
 
 // RunND advances an n-dimensional grid with a generic stencil using the
@@ -463,31 +426,31 @@ type Retuner interface {
 // RunAdaptive1D is Run1D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive1D(g *Grid1D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
+	return e.runAdaptive(g.View(), s, steps, opt, rt)
 }
 
 // RunAdaptive2D is Run2D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive2D(g *Grid2D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
+	return e.runAdaptive(g.View(), s, steps, opt, rt)
 }
 
 // RunAdaptive3D is Run3D with mid-flight re-tuning; only the
 // tessellation scheme supports it.
 func (e *Engine) RunAdaptive3D(g *Grid3D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g, g.View(), s, steps, opt, rt)
+	return e.runAdaptive(g.View(), s, steps, opt, rt)
 }
 
-// runAdaptive is RunAdaptive1D, RunAdaptive2D and RunAdaptive3D on g,
-// whose layout is v.
-func (e *Engine) runAdaptive(g any, v grid.View, s *Stencil, steps int, opt Options, rt Retuner) error {
+// runAdaptive is RunAdaptive1D, RunAdaptive2D and RunAdaptive3D on the
+// grid v views.
+func (e *Engine) runAdaptive(v grid.View, s *Stencil, steps int, opt Options, rt Retuner) error {
 	if err := checkAdaptive(s, v.D, steps, opt); err != nil {
 		return err
 	}
 	n := v.Extents()
 	cfg := tessConfig(n, s.Slopes, 1, opt)
 	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
-		return e.typed(g, nil, stencil.OneStage(s), nil, sc, 0)
+		return core.Run(v, stencil.OneStage(s), sc, e.pool, nil, nil, nil)
 	})
 }
 
