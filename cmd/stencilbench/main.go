@@ -13,7 +13,6 @@
 //	stencilbench -compare ablation     # merging / blocks / tile-height / overlapped ablation
 //	stencilbench -compare all -json BENCH_LEDGER.json   # every comparison, one ledger
 //	stencilbench -concurrency          # barriers & parallelism per scheme
-//	stencilbench -adaptive             # online re-tuning demo (pessimal seed vs adaptive)
 //	stencilbench -paper -fig 8         # full paper problem sizes (hours!)
 //	stencilbench -threads 1,2,4,8      # thread sweep points
 //	stencilbench -fig 10 -coarsen-per-stage 8,2   # fixed per-stage coarsening vector
@@ -46,12 +45,10 @@
 //	-fig all      |     yes          yes      no     no       yes              yes                yes
 //	-compare      |     yes          yes      no    yes        no               no                yes
 //	-concurrency  |     yes           no      no     no        no               no                yes
-//	-adaptive     |     yes          yes      no     no       yes              yes                yes
 //
 // -csv needs a single -fig to name the measurement sweep it exports;
-// combining it with -list, -compare, -concurrency, -adaptive or
-// -fig all is an error rather than a silent no-op. -drift and
-// -interval tune the -adaptive controller and are ignored elsewhere.
+// combining it with -list, -compare, -concurrency or -fig all is an
+// error rather than a silent no-op.
 // -pin/-sticky apply the placement knobs, and -coarsen-per-stage a
 // fixed per-stage dispatch coarsening vector (comma-separated factors,
 // entry i for stage-i regions; see Options.CoarsenPerStage), to every
@@ -85,9 +82,6 @@ func main() {
 		list    = flag.Bool("list", false, "print the Table 4 workloads and exit")
 		compare = flag.String("compare", "", "run a comparison experiment (ablation, kernels, coarsening, placement, dist, pipeline, mask) or all")
 		conc    = flag.Bool("concurrency", false, "print the concurrency/synchronization profile of the schemes")
-		adapt   = flag.Bool("adaptive", false, "run the online re-tuning demo (heat-2d, pessimal seed vs adaptive)")
-		drift   = flag.Float64("drift", 0.5, "adaptive: relative mean-shift threshold that triggers a re-tune")
-		interva = flag.Int("interval", 4, "adaptive: phases between drift checks")
 		csvOut  = flag.String("csv", "", "write a figure's measurements as CSV to this file (requires a single -fig)")
 		pin     = flag.Bool("pin", false, "pin pool workers to CPU cores (linux; degrades to a no-op elsewhere)")
 		sticky  = flag.Bool("sticky", false, "use the sticky (static) block→worker mapping with work-stealing")
@@ -105,8 +99,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *csvOut != "" && (*fig == "" || *fig == "all" || *list || *compare != "" || *conc || *adapt) {
-		fatal(fmt.Errorf("-csv requires a single -fig (8, 9, 10, 11a, 11b or 12); it cannot be combined with -list, -compare, -concurrency, -adaptive or -fig all"))
+	if *csvOut != "" && (*fig == "" || *fig == "all" || *list || *compare != "" || *conc) {
+		fatal(fmt.Errorf("-csv requires a single -fig (8, 9, 10, 11a, 11b or 12); it cannot be combined with -list, -compare, -concurrency or -fig all"))
 	}
 	if *compare != "" && (*pin || *sticky || *coarsen != "") {
 		fatal(fmt.Errorf("-compare sets placement and coarsening per variant; -pin, -sticky and -coarsen-per-stage cannot be combined with it"))
@@ -149,10 +143,6 @@ func main() {
 		}
 	case *compare != "":
 		if err := runCompare(os.Stdout, *compare, *scale, ths[len(ths)-1], *jsonOut); err != nil {
-			fatal(err)
-		}
-	case *adapt:
-		if err := runAdaptiveDemo(os.Stdout, *scale, ths[len(ths)-1], *drift, *interva); err != nil {
 			fatal(err)
 		}
 	case *fig == "all":

@@ -6,14 +6,6 @@
 //
 //	tessautotune -kernel heat-2d -n 2000,2000
 //	tessautotune -kernel 3d27p -n 128,128,128 -trials 12 -threads 4
-//
-// With -adaptive it additionally demonstrates the online controller:
-// an adaptive run is seeded with the worst-ranked trial's tiling and
-// must recover the offline winner (or better) by re-tuning at phase
-// boundaries from live telemetry:
-//
-//	tessautotune -kernel heat-2d -n 2000,2000 -adaptive
-//	tessautotune -adaptive -adaptive-steps 512 -drift 0.3 -interval 2
 package main
 
 import (
@@ -23,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"tessellate"
 	"tessellate/internal/autotune"
@@ -38,10 +29,6 @@ func main() {
 		steps   = flag.Int("steps", 32, "minimum steps per trial")
 		threads = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		telAddr = flag.String("telemetry", "", "serve /metrics, /trace and /debug/pprof on this address while tuning")
-		adapt   = flag.Bool("adaptive", false, "after the search, demo the online controller from the worst trial's tiling")
-		aSteps  = flag.Int("adaptive-steps", 256, "time steps for the adaptive demo run")
-		drift   = flag.Float64("drift", 0.5, "adaptive: relative mean-shift threshold that triggers a re-tune")
-		interva = flag.Int("interval", 4, "adaptive: phases between drift checks")
 	)
 	flag.Parse()
 
@@ -81,71 +68,6 @@ func main() {
 	tw.Flush()
 	fmt.Printf("\nbest: Options{TimeTile: %d, Block: %v}  (%.1f MUpd/s)\n",
 		res.Best.TimeTile, res.Best.Block, res.BestRate)
-
-	if *adapt {
-		if err := runAdaptive(spec, dims, res, *threads, *aSteps, *drift, *interva); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// runAdaptive seeds an adaptive run with the worst-ranked trial's
-// tiling and lets a TuneOnStart controller pull it back: a live check
-// that the online loop recovers what the offline search found.
-func runAdaptive(spec *tessellate.Stencil, dims []int, res autotune.Result, threads, steps int, drift float64, interval int) error {
-	seed := res.Trials[len(res.Trials)-1].Options
-	fmt.Printf("\nadaptive demo: %d steps seeded with worst trial Options{TimeTile: %d, Block: %v}\n",
-		steps, seed.TimeTile, seed.Block)
-
-	eng := tessellate.NewEngine(threads)
-	defer eng.Close()
-	ctrl := autotune.NewController(eng, spec, dims, autotune.OnlineConfig{
-		Interval:    interval,
-		Threshold:   drift,
-		TuneOnStart: true,
-	})
-
-	opt := seed
-	start := time.Now()
-	var err error
-	switch len(dims) {
-	case 1:
-		g := tessellate.NewGrid1D(dims[0], spec.Slopes[0])
-		g.Fill(func(x int) float64 { return float64(x%13) * 0.25 })
-		err = eng.RunAdaptive1D(g, spec, steps, opt, ctrl)
-	case 2:
-		g := tessellate.NewGrid2D(dims[0], dims[1], spec.Slopes[0], spec.Slopes[1])
-		g.Fill(func(x, y int) float64 { return float64((x+y)%17) * 0.0625 })
-		err = eng.RunAdaptive2D(g, spec, steps, opt, ctrl)
-	case 3:
-		g := tessellate.NewGrid3D(dims[0], dims[1], dims[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
-		g.Fill(func(x, y, z int) float64 { return float64((x + y + z) % 7) })
-		err = eng.RunAdaptive3D(g, spec, steps, opt, ctrl)
-	default:
-		err = fmt.Errorf("adaptive demo supports 1-3 dimensions, got %d", len(dims))
-	}
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Seconds()
-
-	points := 1
-	for _, n := range dims {
-		points *= n
-	}
-	final := seed
-	for _, ev := range ctrl.Events() {
-		kind := "drift re-tune"
-		if ev.Initial {
-			kind = "calibration"
-		}
-		fmt.Printf("  step %4d %-14s TimeTile=%d Block=%v -> TimeTile=%d Block=%v (%.1f MUpd/s)\n",
-			ev.StepsDone, kind, ev.Before.TimeTile, ev.Before.Block, ev.After.TimeTile, ev.After.Block, ev.Rate)
-		final = ev.After
-	}
-	fmt.Printf("adaptive run: %.1f MUpd/s end to end (including re-search pauses); settled on Options{TimeTile: %d, Block: %v} vs offline best Options{TimeTile: %d, Block: %v}\n",
-		float64(points)*float64(steps)/elapsed/1e6, final.TimeTile, final.Block, res.Best.TimeTile, res.Best.Block)
-	return nil
 }
 
 func fatal(err error) {

@@ -162,85 +162,3 @@ func fillDiff3D(g *Grid3D, spec *Stencil) {
 	g.Fill(func(x, y, z int) float64 { return rng.Float64() })
 	g.SetBoundary(0.125)
 }
-
-// scriptedCoarsenRetuner re-tiles at every phase boundary, walking a
-// fixed sequence of coarsening vectors while keeping the tile shape.
-type scriptedCoarsenRetuner struct {
-	seq     [][]int
-	i       int
-	retunes int
-}
-
-func (r *scriptedCoarsenRetuner) Phases() int { return 1 }
-
-func (r *scriptedCoarsenRetuner) Retune(b PhaseBoundary) (Options, bool) {
-	if r.i >= len(r.seq) {
-		return Options{}, false
-	}
-	next := b.Options
-	next.CoarsenPerStage = r.seq[r.i]
-	r.i++
-	r.retunes++
-	return next, true
-}
-
-// A run whose coarsening vector changes at every phase boundary must
-// be bitwise identical to a fixed uncoarsened run: re-grouping
-// dispatch mid-flight is invisible in the numerics.
-func TestMidRunCoarseningRetuneBitwiseIdentical(t *testing.T) {
-	const nx, ny, steps = 52, 44, 15
-	eng := NewEngine(3)
-	defer eng.Close()
-	opt := Options{Scheme: Tessellation, TimeTile: 3, Block: []int{12, 16}}
-
-	base := NewGrid2D(nx, ny, 1, 1)
-	fillDiff2D(base, Heat2D)
-	ref := base.Clone()
-	if err := eng.Run2D(ref, Heat2D, steps, opt); err != nil {
-		t.Fatal(err)
-	}
-
-	rt := &scriptedCoarsenRetuner{seq: [][]int{{8}, {1, 4, 2}, {64}, nil}}
-	g := base.Clone()
-	if err := eng.RunAdaptive2D(g, Heat2D, steps, opt, rt); err != nil {
-		t.Fatal(err)
-	}
-	if rt.retunes == 0 {
-		t.Fatal("scripted retuner was never consulted")
-	}
-	if r := verify.Grids2D(g, ref); !r.Equal {
-		t.Fatalf("mid-run coarsening re-tune changed the numerics: %v", r.Error("adaptive"))
-	}
-
-	// The boundary must report the coarsening the segment ran with:
-	// after the first re-tile to {8}, the next boundary sees it.
-	probe := &probeRetuner{}
-	g2 := base.Clone()
-	if err := eng.RunAdaptive2D(g2, Heat2D, steps, Options{
-		Scheme: Tessellation, TimeTile: 3, Block: []int{12, 16}, CoarsenPerStage: []int{5, 2},
-	}, probe); err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.seen) == 0 {
-		t.Fatal("probe retuner was never consulted")
-	}
-	for _, o := range probe.seen {
-		if per := o.CoarsenPerStage; len(per) != 2 || per[0] != 5 || per[1] != 2 {
-			t.Fatalf("boundary reported CoarsenPerStage %v, want [5 2]", o.CoarsenPerStage)
-		}
-	}
-	if r := verify.Grids2D(g2, ref); !r.Equal {
-		t.Fatalf("coarsened adaptive run changed the numerics: %v", r.Error("adaptive"))
-	}
-}
-
-// probeRetuner records the tiling each boundary reports without ever
-// re-tiling.
-type probeRetuner struct{ seen []Options }
-
-func (r *probeRetuner) Phases() int { return 1 }
-
-func (r *probeRetuner) Retune(b PhaseBoundary) (Options, bool) {
-	r.seen = append(r.seen, b.Options)
-	return Options{}, false
-}

@@ -112,6 +112,43 @@ func TestRun3DMatchesNaive(t *testing.T) {
 	}
 }
 
+// Consecutive Run calls on the same grid must compose exactly, also
+// when they tile differently: the second call has to honour the buffer
+// parity the first one left behind (a grid at an odd Step holds its
+// current values in Buf[1]), and every call ends with the whole grid
+// at one time step, from which any tiling may start.
+func TestRunChainedSegmentsMatchNaive(t *testing.T) {
+	pool := par.NewPool(4)
+	defer pool.Close()
+	s := stencil.Heat2D
+	cfgs := []Config{
+		{N: []int{37, 41}, Slopes: s.Slopes, BT: 3, Big: []int{10, 14}, Merge: true},
+		{N: []int{37, 41}, Slopes: s.Slopes, BT: 2, Big: []int{12, 16}, Merge: false},
+	}
+	for _, split := range [][]int{{3, 9}, {5, 7}, {1, 1, 10}, {4, 4, 4}} {
+		for _, alternate := range []bool{false, true} {
+			g := grid.NewGrid2D(37, 41, 1, 1)
+			fill2D(g, 7)
+			ref := g.Clone()
+			total := 0
+			for i, seg := range split {
+				cfg := &cfgs[0]
+				if alternate {
+					cfg = &cfgs[i%2]
+				}
+				if err := Run(g.View(), stencil.OneStage(s), mustSchedule(t, cfg, seg), pool, nil, nil, nil); err != nil {
+					t.Fatalf("split %v alternate=%v: %v", split, alternate, err)
+				}
+				total += seg
+			}
+			naive.Run(ref.View(), stencil.OneStage(s), total, nil, nil)
+			if r := verify.Grids2D(g, ref); !r.Equal {
+				t.Fatalf("split %v alternate=%v: %v", split, alternate, r.Error("chained-2d"))
+			}
+		}
+	}
+}
+
 func TestRunNDMatchesNaive(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()

@@ -50,15 +50,6 @@ func TestPeriodicRejectedOutsideRunND(t *testing.T) {
 			}
 			return eng.Run3D(g.(*Grid3D), s, steps, opt)
 		}},
-		{"RunAdaptive", func(g any, s *Stencil, _ *Mask, opt Options) error {
-			switch g := g.(type) {
-			case *Grid1D:
-				return eng.RunAdaptive1D(g, s, steps, opt, nil)
-			case *Grid2D:
-				return eng.RunAdaptive2D(g, s, steps, opt, nil)
-			}
-			return eng.RunAdaptive3D(g.(*Grid3D), s, steps, opt, nil)
-		}},
 		{"RunPipeline", func(g any, s *Stencil, _ *Mask, opt Options) error {
 			switch g := g.(type) {
 			case *Grid1D:
@@ -90,10 +81,9 @@ func TestPeriodicRejectedOutsideRunND(t *testing.T) {
 					t.Errorf("%s: periodic run accepted", name)
 					continue
 				}
-				// Every entry point takes the tessellation, and all but
-				// the adaptive runs naive, so only the periodic flag can
-				// have turned those away.
-				named := sc == Tessellation || (sc == Naive && e.name != "RunAdaptive")
+				// Every entry point takes the tessellation and naive, so
+				// only the periodic flag can have turned those away.
+				named := sc == Tessellation || sc == Naive
 				if named && !strings.Contains(err.Error(), "periodic") {
 					t.Errorf("%s: error %q does not name the periodic boundary", name, err)
 				}

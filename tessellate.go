@@ -194,8 +194,8 @@ type Options struct {
 	NoMerge bool
 	// Periodic selects wrap-around boundaries (paper §3.6). Only
 	// Engine.RunND accepts it, when each domain extent is a multiple
-	// of the block lattice period; Run1D/2D/3D, RunAdaptive*,
-	// RunPipeline* and RunMasked* return an error under every scheme.
+	// of the block lattice period; Run1D/2D/3D, RunPipeline* and
+	// RunMasked* return an error under every scheme.
 	Periodic bool
 	// CoarsenPerStage sets the tessellation's §4.2 dispatch coarsening
 	// factor per stage: entry i applies to stage-i regions (i = the
@@ -387,116 +387,6 @@ func (e *Engine) RunND(g *NDGrid, s *GenericStencil, steps int, opt Options) err
 		return err
 	}
 	return core.RunND(g, s, sched, e.pool, nil)
-}
-
-// Adaptive runs: a long-running engine can re-tune its tile
-// parameters mid-flight. Phases of TimeTile steps are separated by
-// full synchronization, so the phase boundary is the one point where
-// re-tiling is legal; RunAdaptive* pauses there and consults a Retuner
-// (typically autotune.Controller, which watches the live telemetry
-// histograms for drift). Results are bitwise identical to a
-// fixed-schedule run regardless of how often the retuner swaps tiles.
-
-// PhaseBoundary describes the state of an adaptive run at a legal
-// re-tiling point: every grid point has advanced exactly StepsDone of
-// StepsTotal steps and the worker pool is idle.
-type PhaseBoundary struct {
-	StepsDone  int
-	StepsTotal int
-	// Options is the tiling the finished segment ran with, with
-	// TimeTile and Block resolved to their effective values.
-	Options Options
-}
-
-// Retuner is consulted between phases of an adaptive run.
-// Implementations may inspect live telemetry, re-run measurements on
-// throwaway grids (the pool is idle at the boundary), or follow a
-// precomputed schedule.
-type Retuner interface {
-	// Phases returns how many phases (of TimeTile steps each) to run
-	// between consultations. Values < 1 are treated as 1.
-	Phases() int
-	// Retune is called at a phase boundary. Returning (next, true)
-	// re-tiles the remaining steps with next's TimeTile/Block/NoMerge/
-	// CoarsenPerStage (the scheme cannot change mid-run); returning
-	// (_, false) keeps the current tiling.
-	Retune(b PhaseBoundary) (next Options, retile bool)
-}
-
-// RunAdaptive1D is Run1D with mid-flight re-tuning; only the
-// tessellation scheme supports it.
-func (e *Engine) RunAdaptive1D(g *Grid1D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g.View(), s, steps, opt, rt)
-}
-
-// RunAdaptive2D is Run2D with mid-flight re-tuning; only the
-// tessellation scheme supports it.
-func (e *Engine) RunAdaptive2D(g *Grid2D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g.View(), s, steps, opt, rt)
-}
-
-// RunAdaptive3D is Run3D with mid-flight re-tuning; only the
-// tessellation scheme supports it.
-func (e *Engine) RunAdaptive3D(g *Grid3D, s *Stencil, steps int, opt Options, rt Retuner) error {
-	return e.runAdaptive(g.View(), s, steps, opt, rt)
-}
-
-// runAdaptive is RunAdaptive1D, RunAdaptive2D and RunAdaptive3D on the
-// grid v views.
-func (e *Engine) runAdaptive(v grid.View, s *Stencil, steps int, opt Options, rt Retuner) error {
-	if err := checkAdaptive(s, v.D, steps, opt); err != nil {
-		return err
-	}
-	n := v.Extents()
-	cfg := tessConfig(n, s.Slopes, 1, opt)
-	return core.RunPhased(steps, &cfg, phasesOf(rt), adaptiveHook(n, s, steps, rt), func(sc *core.Schedule) error {
-		return core.Run(v, stencil.OneStage(s), sc, e.pool, nil, nil, nil)
-	})
-}
-
-func checkAdaptive(s *Stencil, dims, steps int, opt Options) error {
-	if err := checkStencilRun(s, dims, steps, opt); err != nil {
-		return err
-	}
-	if opt.Scheme != Tessellation {
-		return fmt.Errorf("tessellate: adaptive runs support only the tessellation scheme, got %v", opt.Scheme)
-	}
-	return nil
-}
-
-func phasesOf(rt Retuner) int {
-	if rt == nil {
-		return 1
-	}
-	return rt.Phases()
-}
-
-// adaptiveHook bridges core's PhaseHook to the public Retuner: it
-// reports the effective tiling at each boundary and converts any
-// replacement Options back into a core.Config.
-func adaptiveHook(n []int, s *Stencil, steps int, rt Retuner) core.PhaseHook {
-	if rt == nil {
-		return nil
-	}
-	return func(done int, cur *core.Config) *core.Config {
-		b := PhaseBoundary{
-			StepsDone:  done,
-			StepsTotal: steps,
-			Options: Options{
-				TimeTile:        cur.BT,
-				Block:           append([]int(nil), cur.Big...),
-				NoMerge:         !cur.Merge,
-				CoarsenPerStage: append([]int(nil), cur.Coarsen.PerStage...),
-			},
-		}
-		next, retile := rt.Retune(b)
-		if !retile {
-			return nil
-		}
-		next.Scheme = Tessellation
-		nc := tessConfig(n, s.Slopes, 1, next)
-		return &nc
-	}
 }
 
 // Telemetry: the runtime observability subsystem (internal/telemetry)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tessellate/internal/core"
+	"tessellate/internal/telemetry"
 	"tessellate/internal/verify"
 )
 
@@ -192,6 +193,9 @@ func TestErrorPaths(t *testing.T) {
 	if err := eng.Run2D(g2, Heat1D, 2, Options{}); err == nil {
 		t.Error("1D kernel on 2D grid accepted")
 	}
+	if err := eng.Run2D(g2, Heat2D, -1, Options{}); err == nil {
+		t.Error("negative steps accepted in 2D")
+	}
 }
 
 func TestEngineThreadCount(t *testing.T) {
@@ -210,11 +214,18 @@ func TestEngineThreadCount(t *testing.T) {
 // An Engine run resolves Options through core.NewConfig, the rule the
 // server shares: with TimeTile alone a one-stage 2D run gets L1 tiles
 // and 1D and 3D runs the §4.2 shape (clamps included), and explicit
-// Block, NoMerge and CoarsenPerStage win. The adaptive runs report the tiling they ran with at each phase
-// boundary, which is what this observes.
+// Block, NoMerge and CoarsenPerStage win. The run's telemetry shows
+// the tiling it ran: one trace span per region, naming its kind, phase,
+// index and block count, and one tess_pool_for_size sample per region,
+// its dispatch work items. Both must match the schedule the core rule
+// gives.
 func TestEngineTileShapeIsCoreRule(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
+	if !telemetry.Enabled() {
+		telemetry.Enable()
+		defer telemetry.Disable()
+	}
 	cases := []struct {
 		n   []int
 		opt Options
@@ -229,32 +240,57 @@ func TestEngineTileShapeIsCoreRule(t *testing.T) {
 		{[]int{32, 32, 32}, Options{TimeTile: 2}},
 		{[]int{16, 16, 16}, Options{TimeTile: 2}},
 	}
+	type region struct {
+		name                 string
+		phase, index, blocks int64
+	}
 	for _, c := range cases {
-		probe := &probeRetuner{}
 		steps := 2*c.opt.TimeTile + 1
 		var s *Stencil
-		var err error
+		var run func() error
 		switch len(c.n) {
 		case 1:
 			s = Heat1D
-			err = eng.RunAdaptive1D(NewGrid1D(c.n[0], 1), s, steps, c.opt, probe)
+			run = func() error { return eng.Run1D(NewGrid1D(c.n[0], 1), s, steps, c.opt) }
 		case 2:
 			s = Heat2D
-			err = eng.RunAdaptive2D(NewGrid2D(c.n[0], c.n[1], 1, 1), s, steps, c.opt, probe)
+			run = func() error { return eng.Run2D(NewGrid2D(c.n[0], c.n[1], 1, 1), s, steps, c.opt) }
 		default:
 			s = Heat3D
-			err = eng.RunAdaptive3D(NewGrid3D(c.n[0], c.n[1], c.n[2], 1, 1, 1), s, steps, c.opt, probe)
+			run = func() error { return eng.Run3D(NewGrid3D(c.n[0], c.n[1], c.n[2], 1, 1, 1), s, steps, c.opt) }
 		}
+		cfg := core.NewConfig(c.n, s.Slopes, 1, c.opt.TimeTile, c.opt.Block, c.opt.NoMerge, c.opt.CoarsenPerStage)
+		sched, err := core.NewSchedule(&cfg, steps)
 		if err != nil {
 			t.Fatalf("%v %+v: %v", c.n, c.opt, err)
 		}
-		if len(probe.seen) == 0 {
-			t.Fatalf("%v %+v: no phase boundary reported", c.n, c.opt)
+		var want []region
+		wantTasks := 0
+		for i, r := range sched.Regions() {
+			name := "stage"
+			if r.Diamond {
+				name = "diamond"
+			}
+			want = append(want, region{name, int64(r.Ref / cfg.BT), int64(i), int64(len(r.Blocks))})
+			wantTasks += r.Tasks()
 		}
-		cfg := core.NewConfig(c.n, s.Slopes, 1, c.opt.TimeTile, c.opt.Block, c.opt.NoMerge, c.opt.CoarsenPerStage)
-		want := Options{TimeTile: cfg.BT, Block: cfg.Big, NoMerge: !cfg.Merge, CoarsenPerStage: cfg.Coarsen.PerStage}
-		if got := probe.seen[0]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%v %+v: Engine ran %+v, core rule gives %+v", c.n, c.opt, got, want)
+
+		telemetry.DefaultTracer.Reset()
+		tasks0 := telemetry.PoolForSize.Sum()
+		if err := run(); err != nil {
+			t.Fatalf("%v %+v: %v", c.n, c.opt, err)
+		}
+		var got []region
+		for _, ev := range telemetry.DefaultTracer.Events() {
+			if ev.Cat == "core" {
+				got = append(got, region{ev.Name, ev.Phase, ev.Stage, ev.Blocks})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v %+v: Engine ran regions %v, core rule gives %v", c.n, c.opt, got, want)
+		}
+		if gotTasks := int(telemetry.PoolForSize.Sum() - tasks0); gotTasks != wantTasks {
+			t.Errorf("%v %+v: Engine dispatched %d work items, core rule gives %d", c.n, c.opt, gotTasks, wantTasks)
 		}
 	}
 }
